@@ -90,12 +90,19 @@ def _parse_grid(text):
     return n_s, n_th
 
 
+def _finite(text):
+    v = float(text)
+    if not math.isfinite(v):
+        raise ValueError("%r is not finite" % text)
+    return v
+
+
 def _parse_radii(text):
     """Either a:b[:step] (inclusive) or a comma list."""
     t = str(text).strip()
     try:
         if ":" in t:
-            parts = [float(x) for x in t.split(":")]
+            parts = [_finite(x) for x in t.split(":")]
             if len(parts) == 2:
                 a, b, step = parts[0], parts[1], 1.0
             elif len(parts) == 3:
@@ -107,9 +114,9 @@ def _parse_radii(text):
             n = int(math.floor((b - a) / step + 1e-9))
             vals = [a + k * step for k in range(n + 1)]
         else:
-            vals = [float(x) for x in t.split(",") if x.strip()]
+            vals = [_finite(x) for x in t.split(",") if x.strip()]
     except ValueError as exc:
-        raise UsageError("radii must be a:b, a:b:step, or a comma list") from exc
+        raise UsageError("radii must be a:b, a:b:step, or a comma list of finite numbers") from exc
     if not vals:
         raise UsageError("empty radii list")
     return vals
@@ -137,7 +144,7 @@ def _parse_surface(spec, m=None):
         if not eq:
             raise UsageError("surface parameters look like l=1,eps=0.05")
         try:
-            params[k.strip()] = float(v)
+            params[k.strip()] = _finite(v)
         except ValueError as exc:
             raise UsageError("bad surface parameter %r" % item) from exc
     mm = int(m) if m is not None else int(params.pop("m", 2))

@@ -42,14 +42,6 @@ class PolarGrid:
     def theta_nodes(self):
         return np.arange(self.n_theta) * self.dtheta
 
-    def disk_points(self):
-        """Conformal disk coordinates of all nodes, shape (n_s+1, n_theta, 2)."""
-        rho = np.tanh(self.s_nodes / 2.0)
-        th = self.theta_nodes
-        x = rho[:, None] * np.cos(th)[None, :]
-        y = rho[:, None] * np.sin(th)[None, :]
-        return np.stack([x, y], axis=-1)
-
 
 @dataclass
 class ScalarField:
@@ -130,12 +122,61 @@ class ScalarField:
         return ev
 
 
-def pole_quadratic_fit(fld, coords="normal"):
+# ---------------------------------------------------------------------------
+# polar difference stencils: every centered difference of polar-grid samples.
+# Node matrices hold the pole value along row 0 (ScalarField.matrix); the
+# s-derivatives are NaN there, see pole_gradient and pole_quadratic_fit.
+
+
+def diff_s(A, ds):
+    """Centered s-difference of rows, one-sided second order on the last."""
+    out = np.full_like(A, np.nan)
+    n = A.shape[0] - 1
+    out[1:n] = (A[2:] - A[:-2]) / (2 * ds)
+    out[n] = (3 * A[n] - 4 * A[n - 1] + A[n - 2]) / (2 * ds)
+    return out
+
+
+def diff_theta(A, dtheta):
+    """Centered periodic difference along axis 1; 0 on a constant pole row."""
+    return (np.roll(A, -1, axis=1) - np.roll(A, 1, axis=1)) / (2 * dtheta)
+
+
+def polar_gradient(grid, M):
+    """First chart partials (u_s, u_theta) at every node of a node matrix."""
+    if grid.n_s < 3:  # the one-sided u_ss of polar_jets reads four rings
+        raise UsageError("polar stencils need n_s >= 3")
+    return diff_s(M, grid.ds), diff_theta(M, grid.dtheta)
+
+
+def polar_jets(grid, M):
+    """Chart partials u_s, u_t, u_ss, u_st = d_s u_t and u_tt at every node, by name."""
+    u_s, u_t = polar_gradient(grid, M)
+    n, ds, dt = grid.n_s, grid.ds, grid.dtheta
+    u_ss = np.full_like(M, np.nan)
+    u_ss[1:n] = (M[2:] - 2 * M[1:n] + M[:-2]) / ds**2
+    u_ss[n] = (2 * M[n] - 5 * M[n - 1] + 4 * M[n - 2] - M[n - 3]) / ds**2
+    u_tt = (np.roll(M, -1, axis=1) - 2 * M + np.roll(M, 1, axis=1)) / dt**2
+    return {"u_s": u_s, "u_t": u_t, "u_ss": u_ss, "u_st": diff_s(u_t, ds), "u_tt": u_tt}
+
+
+def gradient_norm_sq(u_s, u_t, s):
+    """|Du|_h^2 in the polar chart; s must be positive."""
+    return u_s**2 + (u_t / np.sinh(s)) ** 2
+
+
+def pole_gradient(grid, M):
+    """Pole gradient (a, b) in normal coordinates, from ring 1's first Fourier mode."""
+    th = grid.theta_nodes
+    scale = grid.n_theta * grid.ds
+    return 2.0 * (M[1] @ np.cos(th)) / scale, 2.0 * (M[1] @ np.sin(th)) / scale
+
+
+def pole_quadratic_fit(fld):
     """Gradient and Hessian at the pole from a quadratic least-squares fit.
 
-    Fits u over the pole node plus the first two rings in local Cartesian
-    coordinates: geodesic normal coordinates s*(cos, sin) by default, or the
-    conformal disk coordinates tanh(s/2)*(cos, sin) with coords="disk".
+    Fits u over the pole node plus the first two rings in the geodesic
+    normal coordinates s*(cos, sin).
     """
     g = fld.grid
     th = g.theta_nodes
@@ -143,8 +184,7 @@ def pole_quadratic_fit(fld, coords="normal"):
     vals = [np.array([fld.pole])]
     for i in (1, 2):
         s = g.s_nodes[i]
-        r = np.tanh(s / 2.0) if coords == "disk" else s
-        pts.append(np.stack([r * np.cos(th), r * np.sin(th)], axis=-1))
+        pts.append(np.stack([s * np.cos(th), s * np.sin(th)], axis=-1))
         vals.append(fld.rings[i - 1])
     P = np.concatenate(pts)
     V = np.concatenate(vals)

@@ -111,7 +111,32 @@ def _slab_points(x0, axes_rest):
     return np.stack(cols, axis=-1)
 
 
-def _willmore_pass(surf, axes, R, n_shell=12):
+_N_SHELL = 12  # shells over 0.8 R <= r <= R whose means feed the tail fit
+
+
+def _shell_edges(R):
+    return np.linspace(0.8 * R, R, _N_SHELL + 1)
+
+
+def _cell_sums(grad, hess, r, cell, R):
+    """Cell sums of the functional, the volume and its convex part, plus the
+    per-shell integrand sums and node counts for _tail_power_fit."""
+    m = grad.shape[-1]
+    phi, H, K, plus = _jet_pointwise(grad, hess)
+    integrand = np.abs(H) ** m * phi ** (-m - 2)
+    dv = cell / phi
+    idx = np.searchsorted(_shell_edges(R), r, side="right") - 1
+    ok = (idx >= 0) & (idx < _N_SHELL)
+    return (
+        float(np.sum(integrand * cell)),
+        float(np.sum(dv)),
+        float(np.sum(dv[plus])),
+        np.bincount(idx[ok], weights=integrand[ok], minlength=_N_SHELL),
+        np.bincount(idx[ok], minlength=_N_SHELL).astype(float),
+    )
+
+
+def _willmore_pass(surf, axes, R):
     """Cell sums of the functional over the ball |x| <= R, slab by slab.
 
     Returns per-slab partial sums so the caller can combine them in a
@@ -119,47 +144,32 @@ def _willmore_pass(surf, axes, R, n_shell=12):
     """
     h = axes[0][1] - axes[0][0]
     cell = h ** len(axes)
-    m = len(axes)
-    shell_edges = np.linspace(0.8 * R, R, n_shell + 1)
 
     def one_slab(i):
         pts = _slab_points(axes[0][i], axes[1:])
         r = np.sqrt(np.sum(pts * pts, axis=-1))
         keep = r <= R
         if not np.any(keep):
-            z = np.zeros(n_shell)
+            z = np.zeros(_N_SHELL)
             return 0.0, 0.0, 0.0, z, z
         pts = pts[keep]
-        r = r[keep]
-        grad = surf.grad(pts)
-        hess = surf.hess(pts)
-        phi, H, K, plus = _jet_pointwise(grad, hess)
-        integrand = np.abs(H) ** m * phi ** (-m - 2)
-        dv = cell / phi
-        total = float(np.sum(integrand * cell))
-        vol = float(np.sum(dv))
-        vol_plus = float(np.sum(dv[plus]))
-        idx = np.searchsorted(shell_edges, r, side="right") - 1
-        ok = (idx >= 0) & (idx < n_shell)
-        s_int = np.bincount(idx[ok], weights=integrand[ok], minlength=n_shell)
-        s_cnt = np.bincount(idx[ok], minlength=n_shell).astype(float)
-        return total, vol, vol_plus, s_int, s_cnt
+        return _cell_sums(surf.grad(pts), surf.hess(pts), r[keep], cell, R)
 
-    return one_slab, shell_edges
+    return one_slab
 
 
 def _run_pass(surf, axes, R, threads):
-    one_slab, shell_edges = _willmore_pass(surf, axes, R)
+    one_slab = _willmore_pass(surf, axes, R)
     parts = parallel_map(one_slab, range(len(axes[0])), threads)
     total = float(np.sum([p[0] for p in parts]))
     vol = float(np.sum([p[1] for p in parts]))
     vol_plus = float(np.sum([p[2] for p in parts]))
     s_int = np.sum([p[3] for p in parts], axis=0)
     s_cnt = np.sum([p[4] for p in parts], axis=0)
-    return total, vol, vol_plus, s_int, s_cnt, shell_edges
+    return total, vol, vol_plus, s_int, s_cnt
 
 
-def _tail_power_fit(s_int, s_cnt, shell_edges, m, R):
+def _tail_power_fit(s_int, s_cnt, m, R):
     """Extrapolate the integrand's power-law tail past the truncation.
 
     Fits mean integrand ~ C r^{-q} on the outer shells and integrates
@@ -169,6 +179,7 @@ def _tail_power_fit(s_int, s_cnt, shell_edges, m, R):
     good = s_cnt > 0
     if good.sum() < 3:
         return float("nan")
+    shell_edges = _shell_edges(R)
     mid = 0.5 * (shell_edges[:-1] + shell_edges[1:])[good]
     mean = s_int[good] / s_cnt[good]
     if np.any(mean <= 0.0):
@@ -200,6 +211,8 @@ def willmore_integral(obj, truncation=50.0, spacing=None, threads=None):
     """
     threads = default_threads() if threads is None else threads
     R = float(truncation)
+    if not 0 < R < math.inf:
+        raise UsageError("truncation radius must be positive and finite")
     surf = _as_surface(obj)
     if surf is not None:
         m = surf.m
@@ -207,15 +220,17 @@ def willmore_integral(obj, truncation=50.0, spacing=None, threads=None):
             raise UsageError("integrals are desk scale only for m in {2, 3}")
         if spacing is None:
             spacing = 0.25 if m == 2 else 0.5
+        if not 0 < spacing < math.inf:
+            raise UsageError("spacing must be positive and finite")
         k = max(8, int(round(R / spacing)))
         if k % 2:
             k += 1
         axes_fine = [np.linspace(-R, R, 2 * k + 1)] * m
         axes_coarse = [ax[::2] for ax in axes_fine]
-        tot_f, vol_f, plus_f, s_int, s_cnt, edges = _run_pass(surf, axes_fine, R, threads)
-        tot_c, _, _, _, _, _ = _run_pass(surf, axes_coarse, R, threads)
+        tot_f, vol_f, plus_f, s_int, s_cnt = _run_pass(surf, axes_fine, R, threads)
+        tot_c = _run_pass(surf, axes_coarse, R, threads)[0]
         h = axes_fine[0][1] - axes_fine[0][0]
-        tail = _tail_power_fit(s_int, s_cnt, edges, m, R)
+        tail = _tail_power_fit(s_int, s_cnt, m, R)
         return WillmoreReport(
             integral=tot_f,
             lower_bound=unit_ball_volume(m),
@@ -239,28 +254,17 @@ def willmore_integral(obj, truncation=50.0, spacing=None, threads=None):
     if R > min(fld.grid.extents) - 2 * h:
         raise UsageError("truncation ball must fit inside the sampled interior")
     keep = (r <= R) & interior
-    phi, H, K, plus = _jet_pointwise(grad[keep], hess[keep])
     cell = float(np.prod(fld.grid.spacing))
-    integrand = np.abs(H) ** m * phi ** (-m - 2)
-    total = float(np.sum(integrand * cell))
-    dv = cell / phi
-    vol = float(np.sum(dv))
-    vol_plus = float(np.sum(dv[plus]))
+    total, vol, vol_plus, s_int, s_cnt = _cell_sums(grad[keep], hess[keep], r[keep], cell, R)
     # coarse pass on every second node for the tolerance estimate
     sub = tuple(slice(None, None, 2) for _ in range(m))
     keep_c = keep[sub]
     phi_c, H_c, _, _ = _jet_pointwise(grad[sub][keep_c], hess[sub][keep_c])
     tot_c = float(np.sum(np.abs(H_c) ** m * phi_c ** (-m - 2) * cell * 2**m))
-    edges = np.linspace(0.8 * R, R, 13)
-    rk = r[keep]
-    idx = np.searchsorted(edges, rk, side="right") - 1
-    ok = (idx >= 0) & (idx < 12)
-    s_int = np.bincount(idx[ok], weights=integrand[ok], minlength=12)
-    s_cnt = np.bincount(idx[ok], minlength=12).astype(float)
     return WillmoreReport(
         integral=total,
         lower_bound=unit_ball_volume(m),
-        tail_estimate=_tail_power_fit(s_int, s_cnt, edges, m, R),
+        tail_estimate=_tail_power_fit(s_int, s_cnt, m, R),
         sigma_plus_fraction=vol_plus / vol if vol > 0 else 0.0,
         quad_tolerance=abs(total - tot_c) / 3.0,
         truncation=R,
@@ -430,8 +434,8 @@ def lp_growth(obj, p, radii, chart_radius=None, center=None, plateau_rtol=1e-3):
     last step grows by less than plateau_rtol in relative terms.
     """
     p = float(p)
-    if p < 1.0:
-        raise UsageError("p must be at least 1")
+    if not 1.0 <= p < math.inf:
+        raise UsageError("p must be finite and at least 1")
     radii = np.asarray(sorted(float(r) for r in radii), dtype=float)
     if radii.size < 2:
         raise UsageError("need at least two radii")

@@ -4,8 +4,9 @@ A radial graph is the surface {exp(u(q)) * q} for a scalar u on the
 hyperbolic plane. Everything here works in the geodesic polar chart
 (s, theta) about a fixed vertex, where the hyperbolic metric is
 h = ds^2 + sinh(s)^2 dtheta^2. Analytic graphs carry closures for u and
-its partial derivatives; sampled fields use second-order stencils away
-from the pole and a quadratic least-squares fit at the pole.
+its partial derivatives; sampled fields take theirs from the polar
+difference stencils in pmcsurf.fields (polar_gradient, polar_jets) away
+from the pole and from a quadratic least-squares fit at the pole.
 
 The finite-difference residual kernels assume three continuous
 derivatives; the builtin test graphs are smooth, so the quoted O(step^2)
@@ -19,7 +20,7 @@ from scipy.linalg import eigh
 
 from . import lorentz
 from .errors import DomainError, NotSpacelikeError
-from .fields import ScalarField, pole_quadratic_fit
+from .fields import ScalarField, gradient_norm_sq, polar_gradient, polar_jets, pole_quadratic_fit
 
 
 @dataclass(frozen=True)
@@ -132,11 +133,6 @@ def builtin_identity_graphs():
 
 
 # per-point / array kernels on chart components
-
-
-def gradient_norm_sq(u_s, u_t, s):
-    """|Du|_h^2 in the polar chart; s must be positive."""
-    return u_s**2 + (u_t / np.sinh(s)) ** 2
 
 
 def tilt_components(u_s, u_t, s):
@@ -443,38 +439,11 @@ def hessian_tau_residual(p, step=1e-3):
 # sampled-field paths
 
 
-def field_derivative_arrays(fld):
-    """Chart partials of a sampled field at all nodes except the pole.
-
-    Centered second-order stencils inside, one-sided second-order at the
-    boundary ring; theta is periodic. Row 0 of each array is NaN, use
-    pole_quadratic_fit for the pole.
-    """
-    g = fld.grid
-    M = fld.matrix()
-    ds, dt = g.ds, g.dtheta
-    n = g.n_s
-    u_s = np.full_like(M, np.nan)
-    u_ss = np.full_like(M, np.nan)
-    u_s[1:n] = (M[2:] - M[:-2]) / (2 * ds)
-    u_ss[1:n] = (M[2:] - 2 * M[1:n] + M[:-2]) / ds**2
-    u_s[n] = (3 * M[n] - 4 * M[n - 1] + M[n - 2]) / (2 * ds)
-    u_ss[n] = (2 * M[n] - 5 * M[n - 1] + 4 * M[n - 2] - M[n - 3]) / ds**2
-    u_t = (np.roll(M, -1, axis=1) - np.roll(M, 1, axis=1)) / (2 * dt)
-    u_tt = (np.roll(M, -1, axis=1) - 2 * M + np.roll(M, 1, axis=1)) / dt**2
-    u_st = np.full_like(M, np.nan)
-    u_st[1:n] = (np.roll(u_s, -1, axis=1)[1:n] - np.roll(u_s, 1, axis=1)[1:n]) / (2 * dt)
-    u_st[n] = (3 * u_t[n] - 4 * u_t[n - 1] + u_t[n - 2]) / (2 * ds)
-    u_t[0] = u_tt[0] = 0.0
-    return {"u_s": u_s, "u_t": u_t, "u_ss": u_ss, "u_st": u_st, "u_tt": u_tt}
-
-
 def field_tilt(fld):
     """Tilt at every node of a sampled field, as a ScalarField."""
-    d = field_derivative_arrays(fld)
     g = fld.grid
-    s = g.s_nodes[1:, None]
-    w_rings = tilt_components(d["u_s"][1:], d["u_t"][1:], s)
+    u_s, u_t = polar_gradient(g, fld.matrix())
+    w_rings = tilt_components(u_s[1:], u_t[1:], g.s_nodes[1:, None])
     grad0, _ = pole_quadratic_fit(fld)
     gamma0 = float(grad0 @ grad0)
     if gamma0 >= 1.0:
@@ -488,9 +457,9 @@ def field_mean_curvature(fld, route="divergence"):
     route is "divergence" or "intrinsic"; both are second-order accurate
     away from curvature of the discretization error.
     """
-    d = field_derivative_arrays(fld)
     g = fld.grid
     M = fld.matrix()
+    d = polar_jets(g, M)
     s = g.s_nodes[1:, None]
     fn = (
         mean_curvature_div_components
@@ -534,9 +503,8 @@ def alc_sandwich_check(u, inner_l, outer_l, s_cap=8.0, n_samples=(160, 64)):
     lo, hi = np.log(inner_l), np.log(outer_l)
     if isinstance(u, ScalarField):
         vals = u.matrix()
-        d = field_derivative_arrays(u)
-        s = u.grid.s_nodes[1:, None]
-        gamma = d["u_s"][1:] ** 2 + (d["u_t"][1:] / np.sinh(s)) ** 2
+        u_s, u_t = polar_gradient(u.grid, vals)
+        gamma = gradient_norm_sq(u_s[1:], u_t[1:], u.grid.s_nodes[1:, None])
         grad0, _ = pole_quadratic_fit(u)
         gamma_pole = float(grad0 @ grad0)
         s_nodes, th_nodes = u.grid.s_nodes, u.grid.theta_nodes

@@ -24,7 +24,10 @@ from scipy.sparse import coo_matrix
 from scipy.sparse.linalg import spsolve
 
 from .errors import BracketError, NotSpacelikeError, UsageError
-from .fields import PolarGrid, ScalarField
+from .fields import (
+    PolarGrid, ScalarField, diff_s, diff_theta, gradient_norm_sq, polar_gradient, polar_jets,
+    pole_gradient,
+)
 
 _M = 2  # PDE grids are two dimensional; the radial oracle accepts any m
 
@@ -234,6 +237,8 @@ def check_hypotheses(H, n_t=41, n_s=41, s_span=8.0, requested_radii=None, c_floo
     """
     if not (H.t_min < 0.0 < H.t_max):
         raise UsageError("validity box must contain t = 0 (the unit hyperboloid)")
+    if int(n_t) < 2 or int(n_s) < 2:
+        raise UsageError("the hypothesis checks need at least two samples in t and in s")
     t = np.linspace(H.t_min, H.t_max, int(n_t))
     s = np.linspace(0.0, float(s_span), int(n_s))
     th_samples = [0.0] if H.radial else list(np.linspace(0.0, 2 * np.pi, 9)[:-1])
@@ -318,6 +323,30 @@ def _as_boundary(boundary, grid):
     return g.copy()
 
 
+class _Slopes:
+    """Slopes of a node matrix M, by name. Radial faces (rings i, i + 1) carry
+    d = u_s, v = u_theta and gam_r = |Du|^2, angular faces (angles j, j + 1)
+    a = u_s, c = u_theta and gam_a, interior nodes the centered u_s, u_t and
+    gam_n, the pole its gradient (pa, pb). max_sq is the largest |Du|^2 of
+    them all, node_max_sq that over the nodes and the pole."""
+
+    def __init__(self, grid, M):
+        ns, ds, s = grid.n_s, grid.ds, grid.s_nodes
+        u_s, u_t = polar_gradient(grid, M)
+        self.u_s, self.u_t = u_s[1:ns], u_t[1:ns]
+        self.d = (M[1:] - M[:-1]) / ds
+        self.v = 0.5 * (u_t[:-1] + u_t[1:])
+        self.c = (np.roll(M[1:ns], -1, axis=1) - M[1:ns]) / grid.dtheta
+        self.a = 0.5 * (self.u_s + np.roll(self.u_s, -1, axis=1))
+        self.gam_r = gradient_norm_sq(self.d, self.v, (s[:-1] + ds / 2)[:, None])
+        self.gam_a = gradient_norm_sq(self.a, self.c, s[1:ns, None])
+        self.gam_n = gradient_norm_sq(self.u_s, self.u_t, s[1:ns, None])
+        self.pa, self.pb = pole_gradient(grid, M)
+        self.pole_sq = self.pa**2 + self.pb**2
+        self.node_max_sq = max(float(self.gam_n.max()), self.pole_sq)
+        self.max_sq = max(float(self.gam_r.max()), float(self.gam_a.max()), self.node_max_sq)
+
+
 class DiscreteProblem:
     """Finite volume residual and Jacobian on a geodesic polar grid.
 
@@ -344,8 +373,6 @@ class DiscreteProblem:
         area[1:ns] = 2 * np.sinh(s[1:ns]) * np.sinh(ds / 2) * dth
         area[ns] = 1.0  # boundary cells never assembled
         self.area = area
-        self.cos_th = np.cos(grid.theta_nodes)
-        self.sin_th = np.sin(grid.theta_nodes)
         self._s_col = s[1:ns][:, None]
         self._th_row = grid.theta_nodes[None, :]
         idx = np.full((ns + 1, nth), -1, dtype=int)
@@ -365,33 +392,9 @@ class DiscreteProblem:
     def restrict(self, M):
         return np.concatenate([[M[0].mean()], M[1 : self.grid.n_s].ravel()])
 
-    def _pole_gradient(self, M):
-        ds = self.grid.ds
-        nth = self.grid.n_theta
-        a = 2.0 * (M[1] @ self.cos_th) / (nth * ds)
-        b = 2.0 * (M[1] @ self.sin_th) / (nth * ds)
-        return a, b
-
-    def _face_slopes(self, M):
-        ns = self.grid.n_s
-        ds, dth = self.grid.ds, self.grid.dtheta
-        d = (M[1:] - M[:-1]) / ds
-        dth_full = (np.roll(M, -1, axis=1) - np.roll(M, 1, axis=1)) / (2 * dth)
-        v = 0.5 * (dth_full[:-1] + dth_full[1:])
-        gam_r = d**2 + (v / self.s_face) ** 2
-        c = (np.roll(M[1:ns], -1, axis=1) - M[1:ns]) / dth
-        dc = (M[2:] - M[:-2]) / (2 * ds)
-        a = 0.5 * (dc + np.roll(dc, -1, axis=1))
-        gam_a = a**2 + (c / self.s_node) ** 2
-        gam_n = dc**2 + (dth_full[1:ns] / self.s_node) ** 2
-        pa, pb = self._pole_gradient(M)
-        return d, v, gam_r, c, a, gam_a, dc, dth_full, gam_n, pa, pb
-
     def slope_sq(self, x):
         """Max |Du|^2 over faces, interior nodes and the pole."""
-        M = self.expand(x)
-        _, _, gam_r, _, _, gam_a, _, _, gam_n, pa, pb = self._face_slopes(M)
-        return max(float(gam_r.max()), float(gam_a.max()), float(gam_n.max()), pa**2 + pb**2)
+        return _Slopes(self.grid, self.expand(x)).max_sq
 
     def _hbar_interior(self, M):
         return np.asarray(self.H.hbar(M[1 : self.grid.n_s], self._s_col, self._th_row), dtype=float)
@@ -400,16 +403,15 @@ class DiscreteProblem:
         ns, nth = self.grid.n_s, self.grid.n_theta
         ds, dth = self.grid.ds, self.grid.dtheta
         M = self.expand(x)
-        d, v, gam_r, c, a, gam_a, dc, dth_full, gam_n, pa, pb = self._face_slopes(M)
-        worst = max(float(gam_r.max()), float(gam_a.max()), float(gam_n.max()), pa**2 + pb**2)
-        if worst >= 1.0:
+        sl = _Slopes(self.grid, M)
+        if sl.max_sq >= 1.0:
             raise NotSpacelikeError("grid slope reaches the light cone")
-        w_r = 1.0 / np.sqrt(1.0 - gam_r)
-        w_a = 1.0 / np.sqrt(1.0 - gam_a)
-        w_n = 1.0 / np.sqrt(1.0 - gam_n)
-        w_p = 1.0 / math.sqrt(1.0 - (pa**2 + pb**2))
-        flux_r = self.s_face * w_r * d
-        flux_a = w_a * c / self.s_node
+        w_r = 1.0 / np.sqrt(1.0 - sl.gam_r)
+        w_a = 1.0 / np.sqrt(1.0 - sl.gam_a)
+        w_n = 1.0 / np.sqrt(1.0 - sl.gam_n)
+        w_p = 1.0 / math.sqrt(1.0 - sl.pole_sq)
+        flux_r = self.s_face * w_r * sl.d
+        flux_a = w_a * sl.c / self.s_node
         R = np.empty(self.n_unknowns)
         net = dth * (flux_r[1:] - flux_r[:-1]) + ds * (flux_a - np.roll(flux_a, 1, axis=1))
         hv = self._hbar_interior(M)
@@ -424,11 +426,11 @@ class DiscreteProblem:
         ns, nth = self.grid.n_s, self.grid.n_theta
         ds, dth = self.grid.ds, self.grid.dtheta
         M = self.expand(x)
-        d, v, gam_r, c, a, gam_a, dc, dth_full, gam_n, pa, pb = self._face_slopes(M)
-        w_r = 1.0 / np.sqrt(1.0 - gam_r)
-        w_a = 1.0 / np.sqrt(1.0 - gam_a)
-        w_n = 1.0 / np.sqrt(1.0 - gam_n)
-        w_p = 1.0 / math.sqrt(1.0 - (pa**2 + pb**2))
+        sl = _Slopes(self.grid, M)
+        w_r = 1.0 / np.sqrt(1.0 - sl.gam_r)
+        w_a = 1.0 / np.sqrt(1.0 - sl.gam_a)
+        w_n = 1.0 / np.sqrt(1.0 - sl.gam_n)
+        w_p = 1.0 / math.sqrt(1.0 - sl.pole_sq)
         idx = self.idx
         rows, cols, vals = [], [], []
 
@@ -439,8 +441,8 @@ class DiscreteProblem:
             vals.append(vl[keep])
 
         # radial faces between rings i and i+1, i = 0 .. ns-1
-        alpha_r = self.s_face * (w_r + w_r**3 * d**2) / ds
-        q_r = d * w_r**3 * v / self.s_face / (4 * dth)
+        alpha_r = self.s_face * (w_r + w_r**3 * sl.d**2) / ds
+        q_r = sl.d * w_r**3 * sl.v / self.s_face / (4 * dth)
         lo, hi = idx[:-1], idx[1:]
         pairs = [
             (lo, -alpha_r),
@@ -457,8 +459,8 @@ class DiscreteProblem:
             put(hi.ravel(), cl.ravel(), (coef_hi * dval).ravel())
 
         # angular faces between angles j and j+1 on rings 1 .. ns-1
-        alpha_a = (w_a + w_a**3 * c**2 / self.s_node**2) / (self.s_node * dth)
-        p_a = (c / self.s_node) * w_a**3 * a / (4 * ds)
+        alpha_a = (w_a + w_a**3 * sl.c**2 / self.s_node**2) / (self.s_node * dth)
+        p_a = (sl.c / self.s_node) * w_a**3 * sl.a / (4 * ds)
         own = idx[1:ns]
         nxt = np.roll(own, -1, axis=1)
         up = idx[2:]
@@ -479,16 +481,16 @@ class DiscreteProblem:
         # source terms at interior nodes
         dtheta_mid = np.asarray(self.H.dtheta(M[1:ns], self._s_col, self._th_row), dtype=float)
         put(own.ravel(), own.ravel(), (-_M * dtheta_mid).ravel())
-        cth = dth_full[1:ns]
-        put(own.ravel(), up.ravel(), (_M * w_n**3 * dc / (2 * ds)).ravel())
-        put(own.ravel(), dn.ravel(), (-_M * w_n**3 * dc / (2 * ds)).ravel())
-        put(own.ravel(), nxt.ravel(), (_M * w_n**3 * cth / self.s_node**2 / (2 * dth)).ravel())
-        put(own.ravel(), np.roll(own, 1, axis=1).ravel(), (-_M * w_n**3 * cth / self.s_node**2 / (2 * dth)).ravel())
+        put(own.ravel(), up.ravel(), (_M * w_n**3 * sl.u_s / (2 * ds)).ravel())
+        put(own.ravel(), dn.ravel(), (-_M * w_n**3 * sl.u_s / (2 * ds)).ravel())
+        put(own.ravel(), nxt.ravel(), (_M * w_n**3 * sl.u_t / self.s_node**2 / (2 * dth)).ravel())
+        put(own.ravel(), np.roll(own, 1, axis=1).ravel(), (-_M * w_n**3 * sl.u_t / self.s_node**2 / (2 * dth)).ravel())
 
         # pole row: zeroth order term plus the tilt coupling to ring 1
         zero = np.zeros(1, dtype=int)
         put(zero, zero, np.array([-_M * float(self.H.dtheta(M[0, 0], 0.0, 0.0))]))
-        dw_ring = _M * w_p**3 * (pa * self.cos_th + pb * self.sin_th) * 2.0 / (nth * ds)
+        th = self.grid.theta_nodes
+        dw_ring = _M * w_p**3 * (sl.pa * np.cos(th) + sl.pb * np.sin(th)) * 2.0 / (nth * ds)
         put(np.zeros(nth, dtype=int), idx[1], dw_ring)
 
         rows = np.concatenate(rows)
@@ -656,12 +658,10 @@ def solve_dirichlet(
     if not converged and not message:
         message = "max iterations reached"
     M = prob.expand(x)
-    _, _, gam_r, _, _, gam_a, _, _, gam_n, pa, pb = prob._face_slopes(M)
-    gmax = max(float(gam_n.max()), pa**2 + pb**2)
     report = SolveReport(
         iterations=iterations,
         residual_norm=rn,
-        max_w=1.0 / math.sqrt(1.0 - gmax),
+        max_w=1.0 / math.sqrt(1.0 - _Slopes(grid, M).node_max_sq),
         min_u=float(M.min()),
         max_u=float(M.max()),
         converged=bool(converged),
@@ -787,17 +787,11 @@ def _chart_jets(u, i_lo, i_hi):
     """Euclidean disk-coordinate jets of a polar-grid field on rings i_lo..i_hi."""
     g = u.grid
     M = u.matrix()
-    ds, dthv = g.ds, g.dtheta
-    s = g.s_nodes
     sel = slice(i_lo, i_hi + 1)
-    us = (M[i_lo + 1 : i_hi + 2] - M[i_lo - 1 : i_hi]) / (2 * ds)
-    uss = (M[i_lo + 1 : i_hi + 2] - 2 * M[sel] + M[i_lo - 1 : i_hi]) / ds**2
-    ut = (np.roll(M, -1, axis=1) - np.roll(M, 1, axis=1)) / (2 * dthv)
-    utt = (np.roll(M, -1, axis=1) - 2 * M + np.roll(M, 1, axis=1)) / dthv**2
-    ust = (ut[i_lo + 1 : i_hi + 2] - ut[i_lo - 1 : i_hi]) / (2 * ds)
-    ut_m = ut[sel]
-    utt_m = utt[sel]
-    sc = s[sel][:, None]
+    jets = polar_jets(g, M)
+    us, uss, ust = jets["u_s"][sel], jets["u_ss"][sel], jets["u_st"][sel]
+    ut_m, utt_m = jets["u_t"][sel], jets["u_tt"][sel]
+    sc = g.s_nodes[sel][:, None]
     lam = 2 * np.cosh(sc / 2) ** 2
     lam_s = np.sinh(sc)
     rho = np.tanh(sc / 2)
@@ -872,12 +866,9 @@ def poincare_residual(u, H, inner_fraction=0.5, form="nondiv", details=False):
     f_t = w * (-z1 * sth + z2 * cth)
     P = np.zeros((i_hi + 2, g.n_theta))
     P[1:] = rho * f_r
-    ds, dthv = g.ds, g.dtheta
     lam_in = lam[: i_hi]
     rho_in = rho[: i_hi]
-    div = lam_in / rho_in * (P[2 : i_hi + 2] - P[: i_hi]) / (2 * ds) + (
-        np.roll(f_t[: i_hi], -1, axis=1) - np.roll(f_t[: i_hi], 1, axis=1)
-    ) / (2 * dthv) / rho_in
+    div = lam_in / rho_in * diff_s(P, g.ds)[1:-1] + diff_theta(f_t[: i_hi], g.dtheta) / rho_in
     Mv_in = Mv[: i_hi]
     th = np.broadcast_to(g.theta_nodes[None, :], Mv_in.shape)
     hv = np.asarray(H.hbar(Mv_in, sc[: i_hi], th), dtype=float)
@@ -923,20 +914,12 @@ class ExhaustionReport:
         }
 
 
-def _node_tilt_field(fld):
-    """Node tilt w on rings 1..n_s-1 plus the pole, from centered slopes."""
-    prob = DiscreteProblem(fld.grid, constant_curvature(1.0), boundary=0.0)
-    M = fld.matrix()
-    _, _, _, _, _, _, dc, dth_full, gam_n, pa, pb = prob._face_slopes(M)
-    w = 1.0 / np.sqrt(1.0 - gam_n)
-    wp = 1.0 / math.sqrt(1.0 - (pa**2 + pb**2))
-    return w, wp
-
-
 def _psi_records(fld, lam):
     g = fld.grid
     M = fld.matrix()
-    w, wp = _node_tilt_field(fld)
+    slopes = _Slopes(g, M)
+    w = 1.0 / np.sqrt(1.0 - slopes.gam_n)
+    wp = 1.0 / math.sqrt(1.0 - slopes.pole_sq)
     out = {}
     for sign, tag in ((lam, "psi_plus"), (-lam, "psi_minus")):
         vals = w * np.exp(sign * M[1 : g.n_s])

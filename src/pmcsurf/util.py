@@ -47,7 +47,3 @@ def dump_json(obj, path):
     with open(path, "w") as fh:
         json.dump(_plain(obj), fh, indent=2, sort_keys=True)
         fh.write("\n")
-
-
-def json_line(obj):
-    return json.dumps(_plain(obj), indent=2, sort_keys=True)

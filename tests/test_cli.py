@@ -38,6 +38,22 @@ def test_solve_usage_errors(tmp_path):
     assert main(["frobnicate"]) == 64
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["exhaustion", "--H", "rational:0.1", "--radii", "1,inf"],
+        ["willmore", "--surface", "hyperboloid:l=1", "--spacing", "nan"],
+        ["willmore", "--surface", "hyperboloid:l=1", "--R", "nan"],
+        ["willmore", "--surface", "hyperboloid:l=1", "--R", "-5"],
+        ["check-h", "--H", "const:1", "--nt", "1"],
+        ["growth", "--surface", "hyperboloid:l=1", "--p", "nan"],
+        ["willmore", "--surface", "hyperboloid:l=nan"],
+    ],
+)
+def test_non_finite_or_degenerate_values_exit_64(tmp_path, argv):
+    assert main(argv + ["--outdir", str(tmp_path)]) == 64
+
+
 def test_missing_inputs_exit_66(tmp_path):
     assert main(["solve", "--H", "table:%s/nope.csv" % tmp_path, "--smax", "2"]) == 66
     assert main(["solve", "--config", str(tmp_path / "nope.conf")]) == 66

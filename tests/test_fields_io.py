@@ -8,6 +8,7 @@ from pmcsurf.fields import (
     CartesianField,
     PolarGrid,
     ScalarField,
+    polar_jets,
     pole_quadratic_fit,
 )
 
@@ -70,6 +71,16 @@ def test_pole_quadratic_fit_exact_on_quadratics():
     grad, hess = pole_quadratic_fit(f)
     assert np.allclose(grad, [0.2, -0.1], atol=1e-10)
     assert np.allclose(hess, [[0.1, 0.08], [0.08, -0.04]], atol=1e-10)
+
+
+def test_polar_jets_exact_on_the_boundary_ring():
+    # the smallest grid the stencils accept: the one-sided u_ss on the
+    # boundary ring reads rings 0 .. 3
+    g = PolarGrid(3, 8, 1.0)
+    jets = polar_jets(g, ScalarField.from_function(g, lambda s, th: 0.1 * s**2 + 0.0 * th).matrix())
+    assert np.allclose(jets["u_s"][1:], 0.2 * g.s_nodes[1:, None], rtol=0, atol=1e-14)
+    assert np.allclose(jets["u_ss"][1:], 0.2, rtol=0, atol=1e-13)
+    assert np.all(np.isnan(jets["u_ss"][0]))
 
 
 def test_radial_field_file_round_trip(tmp_path):

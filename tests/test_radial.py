@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from pmcsurf import lorentz, radial
-from pmcsurf.errors import DomainError, NotSpacelikeError
+from pmcsurf.errors import DomainError, NotSpacelikeError, UsageError
 from pmcsurf.fields import PolarGrid, ScalarField
 
 
@@ -275,6 +275,14 @@ def test_field_tilt_and_mean_curvature_converge():
     assert errs_w[1] < errs_w[0] / 3.0
     assert errs_h[1] < errs_h[0] / 3.0
     assert errs_h[1] < 5e-3
+
+
+def test_field_mean_curvature_needs_three_rings():
+    # with n_s = 2 the one-sided boundary u_ss would wrap round to the boundary ring
+    grid = PolarGrid(2, 8, 1.0)
+    fld = ScalarField.from_function(grid, lambda s, th: 0.1 * s**2 + 0.0 * th)
+    with pytest.raises(UsageError):
+        radial.field_mean_curvature(fld)
 
 
 def test_alc_sandwich_check_analytic():
