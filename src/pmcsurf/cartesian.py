@@ -302,11 +302,6 @@ class AlcReport:
     looks_alc: bool
 
 
-def _node_radii(grid):
-    mesh = np.meshgrid(*grid.axes, indexing="ij")
-    return np.sqrt(sum(c * c for c in mesh))
-
-
 def alc_decay_check(fld, fit_fraction=0.3, tol=1e-2):
     """Shell suprema of f(x) - |x| and a tail estimate of their limit.
 
@@ -317,7 +312,7 @@ def alc_decay_check(fld, fit_fraction=0.3, tol=1e-2):
     edge overestimates the limit while the fit removes the slow tail.
     """
     g = fld.grid
-    r = _node_radii(g)
+    r = g.node_radii()
     resid = fld.values - r
     if np.any(resid <= 0.0):
         raise DomainError("graph must lie inside the future cone of the origin")
@@ -433,7 +428,7 @@ def matched_chart_points(fld):
     g = fld.grid
     if g.m != 2:
         raise UsageError("radial charts here are two dimensional")
-    r = _node_radii(g)
+    r = g.node_radii()
     ll = fld.values**2 - r**2
     if np.any(ll <= 0.0):
         raise DomainError("graph must lie inside the future cone of the origin")

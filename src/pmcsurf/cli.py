@@ -55,17 +55,21 @@ class RunConfig:
         self._seen = {"threads", "outdir"}
 
     def get(self, key, default=None, cast=str):
+        """The flag, else the file's value cast, else default; a non-finite
+        float from a flag or the file is a usage error."""
         self._seen.add(key)
-        flag = self._ns.get(key.replace("-", "_"))
-        if flag is not None:
-            return flag
-        raw = self._sec.get(key)
-        if raw is None:
-            return default
-        try:
-            return cast(raw)
-        except (TypeError, ValueError) as exc:
-            raise UsageError("config key %r: %s" % (key, exc)) from exc
+        val = self._ns.get(key.replace("-", "_"))
+        if val is None:
+            raw = self._sec.get(key)
+            if raw is None:
+                return default
+            try:
+                val = cast(raw)
+            except (TypeError, ValueError) as exc:
+                raise UsageError("config key %r: %s" % (key, exc)) from exc
+        if isinstance(val, float) and not math.isfinite(val):
+            raise UsageError("%s must be finite, got %r" % (key, val))
+        return val
 
     def require(self, key, cast=str):
         val = self.get(key, None, cast)

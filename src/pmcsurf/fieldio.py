@@ -2,14 +2,13 @@
 
 Radial field (text): header lines "m", "n_s", "n_th", "s_max" as key value
 pairs, then n_s * n_th + 1 values one per line, pole first, row-major in
-(ring, angle). The same data is accepted and emitted as a single JSON
-object with keys m, n_s, n_th, s_max, values. Cartesian fields use a
-header of "m" then per-axis "R" and "n" pairs, then values row-major.
-All floats are written with 17 significant digits so they round-trip.
+(ring, angle). Cartesian fields (text) use a header of "m" then per-axis
+"R" and "n" pairs, then values row-major. Blank lines and lines starting
+with "#" are skipped. All floats are written with 17 significant digits
+so they round-trip.
 """
 
 import csv
-import json
 import os
 
 import numpy as np
@@ -25,31 +24,8 @@ def _require(path):
         raise FileNotFoundError(path)
 
 
-def _is_json(path):
-    with open(path) as fh:
-        for line in fh:
-            stripped = line.strip()
-            if stripped:
-                return stripped[0] == "{"
-    return False
-
-
-def write_radial_field(fld, path, fmt="text"):
+def write_radial_field(fld, path):
     g = fld.grid
-    if fmt == "json":
-        obj = {
-            "m": 2,
-            "n_s": g.n_s,
-            "n_th": g.n_theta,
-            "s_max": g.s_max,
-            "values": [float(v) for v in fld.flat()],
-        }
-        with open(path, "w") as fh:
-            json.dump(obj, fh, sort_keys=True)
-            fh.write("\n")
-        return
-    if fmt != "text":
-        raise UsageError("fmt must be 'text' or 'json'")
     with open(path, "w") as fh:
         fh.write("m 2\n")
         fh.write("n_s %d\n" % g.n_s)
@@ -61,54 +37,31 @@ def write_radial_field(fld, path, fmt="text"):
 
 def read_radial_field(path):
     _require(path)
-    if _is_json(path):
-        with open(path) as fh:
-            obj = json.load(fh)
-        try:
-            m = int(obj["m"])
-            grid = PolarGrid(int(obj["n_s"]), int(obj["n_th"]), float(obj["s_max"]))
-            values = np.asarray(obj["values"], dtype=float)
-        except (KeyError, TypeError) as exc:
-            raise UsageError("malformed radial field JSON: %s" % exc) from exc
-    else:
-        header = {}
-        values = []
-        with open(path) as fh:
-            for line in fh:
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                parts = line.split()
-                if len(parts) == 2 and parts[0] in ("m", "n_s", "n_th", "s_max"):
-                    header[parts[0]] = parts[1]
-                else:
-                    values.append(float(parts[0]))
-        missing = {"m", "n_s", "n_th", "s_max"} - set(header)
-        if missing:
-            raise UsageError("radial field header missing %s" % sorted(missing))
-        m = int(header["m"])
-        grid = PolarGrid(int(header["n_s"]), int(header["n_th"]), float(header["s_max"]))
-        values = np.asarray(values, dtype=float)
+    header = {}
+    values = []
+    with open(path) as fh:
+        for line in fh:
+            line = line.strip()
+            if not line or line.startswith("#"):
+                continue
+            parts = line.split()
+            if len(parts) == 2 and parts[0] in ("m", "n_s", "n_th", "s_max"):
+                header[parts[0]] = parts[1]
+            else:
+                values.append(float(parts[0]))
+    missing = {"m", "n_s", "n_th", "s_max"} - set(header)
+    if missing:
+        raise UsageError("radial field header missing %s" % sorted(missing))
+    m = int(header["m"])
+    grid = PolarGrid(int(header["n_s"]), int(header["n_th"]), float(header["s_max"]))
+    values = np.asarray(values, dtype=float)
     if m != 2:
         raise UsageError("radial field files are two dimensional (m = 2)")
     return ScalarField.from_flat(grid, values)
 
 
-def write_cartesian_field(fld, path, fmt="text"):
+def write_cartesian_field(fld, path):
     g = fld.grid
-    if fmt == "json":
-        obj = {
-            "m": g.m,
-            "R": [float(r) for r in g.extents],
-            "n": [int(n) for n in g.counts],
-            "values": [float(v) for v in fld.values.ravel()],
-        }
-        with open(path, "w") as fh:
-            json.dump(obj, fh, sort_keys=True)
-            fh.write("\n")
-        return
-    if fmt != "text":
-        raise UsageError("fmt must be 'text' or 'json'")
     with open(path, "w") as fh:
         fh.write("m %d\n" % g.m)
         for r, n in zip(g.extents, g.counts):
@@ -120,37 +73,26 @@ def write_cartesian_field(fld, path, fmt="text"):
 
 def read_cartesian_field(path):
     _require(path)
-    if _is_json(path):
-        with open(path) as fh:
-            obj = json.load(fh)
-        try:
-            grid = BoxGrid(tuple(float(r) for r in obj["R"]), tuple(int(n) for n in obj["n"]))
-            if int(obj["m"]) != grid.m:
-                raise UsageError("axis count does not match m")
-            values = np.asarray(obj["values"], dtype=float)
-        except (KeyError, TypeError) as exc:
-            raise UsageError("malformed cartesian field JSON: %s" % exc) from exc
-    else:
-        m = None
-        rs, ns, values = [], [], []
-        with open(path) as fh:
-            for line in fh:
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                parts = line.split()
-                if len(parts) == 2 and parts[0] == "m":
-                    m = int(parts[1])
-                elif len(parts) == 2 and parts[0] == "R":
-                    rs.append(float(parts[1]))
-                elif len(parts) == 2 and parts[0] == "n":
-                    ns.append(int(parts[1]))
-                else:
-                    values.append(float(parts[0]))
-        if m is None or len(rs) != m or len(ns) != m:
-            raise UsageError("cartesian field header incomplete")
-        grid = BoxGrid(tuple(rs), tuple(ns))
-        values = np.asarray(values, dtype=float)
+    m = None
+    rs, ns, values = [], [], []
+    with open(path) as fh:
+        for line in fh:
+            line = line.strip()
+            if not line or line.startswith("#"):
+                continue
+            parts = line.split()
+            if len(parts) == 2 and parts[0] == "m":
+                m = int(parts[1])
+            elif len(parts) == 2 and parts[0] == "R":
+                rs.append(float(parts[1]))
+            elif len(parts) == 2 and parts[0] == "n":
+                ns.append(int(parts[1]))
+            else:
+                values.append(float(parts[0]))
+    if m is None or len(rs) != m or len(ns) != m:
+        raise UsageError("cartesian field header incomplete")
+    grid = BoxGrid(tuple(rs), tuple(ns))
+    values = np.asarray(values, dtype=float)
     expected = int(np.prod(grid.counts))
     if values.shape != (expected,):
         raise UsageError("value count does not match the grid")

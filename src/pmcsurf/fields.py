@@ -23,8 +23,8 @@ class PolarGrid:
     def __post_init__(self):
         if self.n_s < 2 or self.n_theta < 8 or self.n_theta % 2 != 0:
             raise UsageError("polar grid needs n_s >= 2 and even n_theta >= 8")
-        if not self.s_max > 0:
-            raise UsageError("s_max must be positive")
+        if not 0 < self.s_max < np.inf:
+            raise UsageError("s_max must be positive and finite")
 
     @property
     def ds(self):
@@ -230,6 +230,11 @@ class BoxGrid:
     @property
     def spacing(self):
         return tuple(2 * r / (n - 1) for r, n in zip(self.extents, self.counts))
+
+    def node_radii(self):
+        """|x| at every node."""
+        mesh = np.meshgrid(*self.axes, indexing="ij")
+        return np.sqrt(sum(c * c for c in mesh))
 
 
 @dataclass

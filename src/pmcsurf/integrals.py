@@ -8,15 +8,19 @@ ball against the Jacobian measure of the Gauss image of the convexity
 set. The growth series tracks L^p norms of H on expanding balls, which
 cannot stay bounded for these surfaces when p <= m.
 
-All quadrature is plain cell/trapezoid summation on the sampling grids
-with the resolution error estimated by coarsening, never assumed.
+Two reductions carry them. _slab_sums sums nodal cell values of the
+total-curvature functional over a Cartesian ball, with the resolution
+error estimated from a half-resolution pass. _ball_masses integrates
+|H|^p, the Gauss-image density and the volume over geodesic balls: by
+composite Simpson in r times the periodic trapezoid rule in theta on
+chart-round balls of model surfaces, and by nodal cell sums over
+shortest-path balls on sampled fields.
 """
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import simpson
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import dijkstra
 
@@ -104,13 +108,6 @@ class WillmoreReport:
         }
 
 
-def _slab_points(x0, axes_rest):
-    mesh = list(np.meshgrid(*axes_rest, indexing="ij")) if axes_rest else []
-    shape = mesh[0].shape if mesh else ()
-    cols = [np.full(shape, x0)] + mesh
-    return np.stack(cols, axis=-1)
-
-
 _N_SHELL = 12  # shells over 0.8 R <= r <= R whose means feed the tail fit
 
 
@@ -136,37 +133,25 @@ def _cell_sums(grad, hess, r, cell, R):
     )
 
 
-def _willmore_pass(surf, axes, R):
-    """Cell sums of the functional over the ball |x| <= R, slab by slab.
+def _slab_sums(surf, axes, R, threads):
+    """_cell_sums over the ball |x| <= R of the node grid spanned by axes.
 
-    Returns per-slab partial sums so the caller can combine them in a
-    fixed order regardless of how the slabs were scheduled.
+    One pool item per x_0 slab; the slab records are summed in slab
+    order, whatever order the pool ran them in.
     """
-    h = axes[0][1] - axes[0][0]
-    cell = h ** len(axes)
+    cell = (axes[0][1] - axes[0][0]) ** len(axes)
+    rest = list(np.meshgrid(*axes[1:], indexing="ij"))
 
-    def one_slab(i):
-        pts = _slab_points(axes[0][i], axes[1:])
+    def one_slab(x0):
+        pts = np.stack([np.full(rest[0].shape, x0)] + rest, axis=-1)
         r = np.sqrt(np.sum(pts * pts, axis=-1))
         keep = r <= R
-        if not np.any(keep):
-            z = np.zeros(_N_SHELL)
-            return 0.0, 0.0, 0.0, z, z
         pts = pts[keep]
         return _cell_sums(surf.grad(pts), surf.hess(pts), r[keep], cell, R)
 
-    return one_slab
-
-
-def _run_pass(surf, axes, R, threads):
-    one_slab = _willmore_pass(surf, axes, R)
-    parts = parallel_map(one_slab, range(len(axes[0])), threads)
-    total = float(np.sum([p[0] for p in parts]))
-    vol = float(np.sum([p[1] for p in parts]))
-    vol_plus = float(np.sum([p[2] for p in parts]))
-    s_int = np.sum([p[3] for p in parts], axis=0)
-    s_cnt = np.sum([p[4] for p in parts], axis=0)
-    return total, vol, vol_plus, s_int, s_cnt
+    parts = parallel_map(one_slab, axes[0], threads)
+    total, vol, vol_plus, s_int, s_cnt = (np.sum(col, axis=0) for col in zip(*parts))
+    return float(total), float(vol), float(vol_plus), s_int, s_cnt
 
 
 def _tail_power_fit(s_int, s_cnt, m, R):
@@ -192,14 +177,6 @@ def _tail_power_fit(s_int, s_cnt, m, R):
     return c * sphere_area(m - 1) * R ** (m - q) / (q - m)
 
 
-def _as_surface(obj):
-    if isinstance(obj, AnalyticSurface):
-        return obj
-    if isinstance(obj, CartesianField):
-        return None
-    raise UsageError("expected an analytic surface or a sampled field")
-
-
 def willmore_integral(obj, truncation=50.0, spacing=None, threads=None):
     """Quadrature of |H|^m phi^{-m-1} dv over |x| <= truncation.
 
@@ -213,11 +190,13 @@ def willmore_integral(obj, truncation=50.0, spacing=None, threads=None):
     R = float(truncation)
     if not 0 < R < math.inf:
         raise UsageError("truncation radius must be positive and finite")
-    surf = _as_surface(obj)
-    if surf is not None:
-        m = surf.m
-        if m not in (2, 3):
-            raise UsageError("integrals are desk scale only for m in {2, 3}")
+    analytic = isinstance(obj, AnalyticSurface)
+    if not analytic and not isinstance(obj, CartesianField):
+        raise UsageError("expected an analytic surface or a sampled field")
+    m = obj.m if analytic else obj.grid.m
+    if m not in (2, 3):
+        raise UsageError("integrals are desk scale only for m in {2, 3}")
+    if analytic:
         if spacing is None:
             spacing = 0.25 if m == 2 else 0.5
         if not 0 < spacing < math.inf:
@@ -225,42 +204,26 @@ def willmore_integral(obj, truncation=50.0, spacing=None, threads=None):
         k = max(8, int(round(R / spacing)))
         if k % 2:
             k += 1
-        axes_fine = [np.linspace(-R, R, 2 * k + 1)] * m
-        axes_coarse = [ax[::2] for ax in axes_fine]
-        tot_f, vol_f, plus_f, s_int, s_cnt = _run_pass(surf, axes_fine, R, threads)
-        tot_c = _run_pass(surf, axes_coarse, R, threads)[0]
-        h = axes_fine[0][1] - axes_fine[0][0]
-        tail = _tail_power_fit(s_int, s_cnt, m, R)
-        return WillmoreReport(
-            integral=tot_f,
-            lower_bound=unit_ball_volume(m),
-            tail_estimate=tail,
-            sigma_plus_fraction=plus_f / vol_f if vol_f > 0 else 0.0,
-            quad_tolerance=abs(tot_f - tot_c) / 3.0,
-            truncation=R,
-            spacing=h,
-            m=m,
-        )
-
-    # sampled field: discrete jets on its own grid
-    fld = obj
-    m = fld.grid.m
-    if m not in (2, 3):
-        raise UsageError("integrals are desk scale only for m in {2, 3}")
-    grad, hess, interior = field_jets(fld)
-    mesh = np.meshgrid(*fld.grid.axes, indexing="ij")
-    r = np.sqrt(sum(c * c for c in mesh))
-    h = max(fld.grid.spacing)
-    if R > min(fld.grid.extents) - 2 * h:
-        raise UsageError("truncation ball must fit inside the sampled interior")
-    keep = (r <= R) & interior
-    cell = float(np.prod(fld.grid.spacing))
-    total, vol, vol_plus, s_int, s_cnt = _cell_sums(grad[keep], hess[keep], r[keep], cell, R)
-    # coarse pass on every second node for the tolerance estimate
-    sub = tuple(slice(None, None, 2) for _ in range(m))
-    keep_c = keep[sub]
-    phi_c, H_c, _, _ = _jet_pointwise(grad[sub][keep_c], hess[sub][keep_c])
-    tot_c = float(np.sum(np.abs(H_c) ** m * phi_c ** (-m - 2) * cell * 2**m))
+        axes = [np.linspace(-R, R, 2 * k + 1)] * m
+        fine = _slab_sums(obj, axes, R, threads)
+        tot_c = _slab_sums(obj, [ax[::2] for ax in axes], R, threads)[0]
+        h = axes[0][1] - axes[0][0]
+    else:
+        # sampled field: discrete jets on its own grid, the coarse pass on
+        # every second node
+        g = obj.grid
+        h = max(g.spacing)
+        if R > min(g.extents) - 2 * h:
+            raise UsageError("truncation ball must fit inside the sampled interior")
+        grad, hess, interior = field_jets(obj)
+        r = g.node_radii()
+        keep = (r <= R) & interior
+        cell = float(np.prod(g.spacing))
+        fine = _cell_sums(grad[keep], hess[keep], r[keep], cell, R)
+        sub = tuple(slice(None, None, 2) for _ in range(m))
+        kc = keep[sub]
+        tot_c = _cell_sums(grad[sub][kc], hess[sub][kc], r[sub][kc], cell * 2**m, R)[0]
+    total, vol, vol_plus, s_int, s_cnt = fine
     return WillmoreReport(
         integral=total,
         lower_bound=unit_ball_volume(m),
@@ -311,9 +274,7 @@ def geodesic_distances(fld, center=None):
         shape=(n0 * n1, n0 * n1),
     ).tocsr()
     if center is None:
-        mesh = np.meshgrid(*g.axes, indexing="ij")
-        rr = np.sqrt(sum(c * c for c in mesh))
-        center = int(np.argmin(rr))
+        center = int(np.argmin(g.node_radii()))
     dist = dijkstra(graph, directed=False, indices=center)
     return dist.reshape(n0, n1)
 
@@ -334,35 +295,64 @@ class GaussEstimate:
         return {"rho": self.rho, "lhs": self.lhs, "rhs": self.rhs, "gap": self.gap}
 
 
-def _polar_ball_integrals(surf, chart_radius, p_exponents, n_r=1536, n_th=192):
-    """Integrals over a chart-round geodesic ball by polar quadrature.
+_N_R, _N_TH = 1536, 192  # polar nodes of a chart-round ball (n_r even for Simpson)
 
-    Only for surfaces whose geodesic balls around the apex are round in
-    the chart (the model family); chart_radius gives the chart radius of
-    the ball. Returns integrals of |H|^p dv for each requested p, of K dv
-    over the convexity set, and the ball volume.
+
+def _ball_masses(obj, p, radii, chart_radius=None, center=None):
+    """Curvature masses of the geodesic balls B_rho, one column per radius.
+
+    Returns (m, masses) with four rows: the integrals over B_rho of
+    |H|^p dv (p = m when p is None) and |H|^m dv, the Gauss-image measure
+    (the integral of K dv over the convexity set, floored at 0) and the
+    volume. With chart_radius, obj is a model surface whose balls around
+    the apex are chart-round with chart radius chart_radius(rho):
+    composite Simpson in r times the periodic trapezoid rule in theta,
+    jets evaluated one ball at a time. Without it, obj is a sampled
+    field: cell sums over shortest-path balls, with distances and jets
+    computed once.
     """
-    if surf.m != 2:
-        raise UsageError("polar ball quadrature is planar only")
-    r = np.linspace(0.0, float(chart_radius), n_r + 1)
-    th = np.linspace(0.0, 2.0 * np.pi, n_th, endpoint=False)
-    pts = np.stack(
-        [r[:, None] * np.cos(th)[None, :], r[:, None] * np.sin(th)[None, :]],
-        axis=-1,
-    )
-    grad = surf.grad(pts)
-    hess = surf.hess(pts)
-    phi, H, K, plus = _jet_pointwise(grad, hess)
-    dth = 2.0 * np.pi / n_th
-    out = []
-    for p in p_exponents:
-        ang = np.sum(np.abs(H) ** p / phi, axis=1) * dth
-        out.append(float(simpson(ang * r, x=r)))
-    ang_k = np.sum(np.where(plus, K, 0.0) / phi, axis=1) * dth
-    out.append(float(simpson(ang_k * r, x=r)))
-    ang_v = np.sum(1.0 / phi, axis=1) * dth
-    out.append(float(simpson(ang_v * r, x=r)))
-    return out
+    radii = np.asarray(radii, dtype=float)
+    if not np.all(np.isfinite(radii) & (radii >= 0.0)):
+        raise UsageError("ball radii must be finite and nonnegative")
+    if not isinstance(obj, AnalyticSurface if chart_radius is not None else CartesianField):
+        raise UsageError("pass an analytic surface with chart_radius, a sampled field without")
+    if chart_radius is not None:
+        m = obj.m
+        if m != 2:
+            raise UsageError("polar ball quadrature is planar only")
+        th = np.linspace(0.0, 2.0 * np.pi, _N_TH, endpoint=False)
+        simpson = np.ones(_N_R + 1)
+        simpson[1:-1:2], simpson[2:-1:2] = 4.0, 2.0
+
+        def ball(rho):
+            r = np.linspace(0.0, float(chart_radius(rho)), _N_R + 1)
+            pts = np.stack([np.outer(r, np.cos(th)), np.outer(r, np.sin(th))], axis=-1)
+            phi, H, K, plus = _jet_pointwise(obj.grad(pts), obj.hess(pts))
+            w = simpson * (r[1] - r[0]) / 3.0 * r * (2.0 * np.pi / _N_TH)
+            return H, K, plus, w[:, None] / phi
+
+    else:
+        m = obj.grid.m
+        dist = geodesic_distances(obj, center=center)
+        grad, hess, interior = field_jets(obj)
+        phi, H, K, plus = _jet_pointwise(grad[interior], hess[interior])
+        dv = float(np.prod(obj.grid.spacing)) / phi
+        d_in = dist[interior]
+        if not np.any(d_in <= radii.min()):
+            raise DomainError("geodesic ball captured no interior nodes")
+
+        def ball(rho):
+            k = d_in <= rho
+            return H[k], K[k], plus[k], dv[k]
+
+    p = m if p is None else p
+
+    def masses(H, K, plus, dv):
+        aH = np.abs(H)
+        gauss = max(float(np.sum(K[plus] * dv[plus])), 0.0)
+        return [np.sum(aH**p * dv), np.sum(aH**m * dv), gauss, np.sum(dv)]
+
+    return m, np.array([masses(*ball(rho)) for rho in radii]).T
 
 
 def hyperboloid_chart_radius(l=1.0):
@@ -384,26 +374,9 @@ def local_gauss_estimate(obj, rho, chart_radius=None, center=None):
     chart-round via chart_radius on model surfaces, else shortest-path
     balls on a sampled field.
     """
-    rho = float(rho)
-    if chart_radius is not None:
-        surf = _as_surface(obj)
-        if surf is None:
-            raise UsageError("chart_radius applies to analytic surfaces")
-        hm, kplus, _ = _polar_ball_integrals(surf, chart_radius(rho), [surf.m])
-        return GaussEstimate(rho=rho, lhs=hm ** (1.0 / surf.m), rhs=max(kplus, 0.0) ** (1.0 / surf.m))
-    if not isinstance(obj, CartesianField):
-        raise UsageError("without chart_radius, pass a sampled field")
-    m = obj.grid.m
-    dist = geodesic_distances(obj, center=center)
-    grad, hess, interior = field_jets(obj)
-    keep = (dist <= rho) & interior
-    if not np.any(keep):
-        raise DomainError("geodesic ball captured no interior nodes")
-    phi, H, K, plus = _jet_pointwise(grad[keep], hess[keep])
-    dv = float(np.prod(obj.grid.spacing)) / phi
-    hm = float(np.sum(np.abs(H) ** m * dv))
-    kplus = float(np.sum(np.where(plus, K, 0.0) * dv))
-    return GaussEstimate(rho=rho, lhs=hm ** (1.0 / m), rhs=max(kplus, 0.0) ** (1.0 / m))
+    m, masses = _ball_masses(obj, None, [rho], chart_radius, center)
+    hm, _, kplus, _ = masses[:, 0]
+    return GaussEstimate(rho=float(rho), lhs=float(hm ** (1.0 / m)), rhs=float(kplus ** (1.0 / m)))
 
 
 @dataclass
@@ -439,37 +412,7 @@ def lp_growth(obj, p, radii, chart_radius=None, center=None, plateau_rtol=1e-3):
     radii = np.asarray(sorted(float(r) for r in radii), dtype=float)
     if radii.size < 2:
         raise UsageError("need at least two radii")
-    lp_mass, lm_mass, gauss, vols = [], [], [], []
-    if chart_radius is not None:
-        surf = _as_surface(obj)
-        if surf is None:
-            raise UsageError("chart_radius applies to analytic surfaces")
-        m = surf.m
-        for rho in radii:
-            hp, hm, kplus, vol = _polar_ball_integrals(
-                surf, chart_radius(rho), [p, m]
-            )
-            lp_mass.append(hp)
-            lm_mass.append(hm)
-            gauss.append(max(kplus, 0.0))
-            vols.append(vol)
-    else:
-        if not isinstance(obj, CartesianField):
-            raise UsageError("without chart_radius, pass a sampled field")
-        m = obj.grid.m
-        dist = geodesic_distances(obj, center=center)
-        grad, hess, interior = field_jets(obj)
-        phi, H, K, plus = _jet_pointwise(grad[interior], hess[interior])
-        dv = float(np.prod(obj.grid.spacing)) / phi
-        d_in = dist[interior]
-        for rho in radii:
-            keep = d_in <= rho
-            lp_mass.append(float(np.sum(np.abs(H[keep]) ** p * dv[keep])))
-            lm_mass.append(float(np.sum(np.abs(H[keep]) ** m * dv[keep])))
-            kk = keep & plus
-            gauss.append(max(float(np.sum(K[kk] * dv[kk])), 0.0))
-            vols.append(float(np.sum(dv[keep])))
-    lp_mass = np.array(lp_mass)
+    m, (lp_mass, lm_mass, gauss, vols) = _ball_masses(obj, p, radii, chart_radius, center)
     # the absolute floor keeps roundoff-scale masses (flat graphs) from
     # registering as growth
     grew = (lp_mass[-1] - lp_mass[-2]) > plateau_rtol * max(lp_mass[-1], 1e-12)
@@ -478,9 +421,9 @@ def lp_growth(obj, p, radii, chart_radius=None, center=None, plateau_rtol=1e-3):
         m=m,
         radii=radii,
         lp_norms=lp_mass ** (1.0 / p),
-        lm_norms=np.array(lm_mass) ** (1.0 / m),
-        gauss_image_measure=np.array(gauss),
-        volumes=np.array(vols),
+        lm_norms=lm_mass ** (1.0 / m),
+        gauss_image_measure=gauss,
+        volumes=vols,
         plateaued=not grew,
     )
 

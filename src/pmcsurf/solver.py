@@ -239,6 +239,8 @@ def check_hypotheses(H, n_t=41, n_s=41, s_span=8.0, requested_radii=None, c_floo
         raise UsageError("validity box must contain t = 0 (the unit hyperboloid)")
     if int(n_t) < 2 or int(n_s) < 2:
         raise UsageError("the hypothesis checks need at least two samples in t and in s")
+    if not 0 < s_span < math.inf:
+        raise UsageError("s_span must be positive and finite")
     t = np.linspace(H.t_min, H.t_max, int(n_t))
     s = np.linspace(0.0, float(s_span), int(n_s))
     th_samples = [0.0] if H.radial else list(np.linspace(0.0, 2 * np.pi, 9)[:-1])
@@ -958,6 +960,8 @@ def exhaustion(
         raise UsageError("the compact ball cannot exceed the smallest radius")
     if ds is None:
         ds = radii[0] / 24.0
+    if not 0 < ds < math.inf:
+        raise UsageError("radial spacing must be positive and finite")
     try:
         hyp = check_hypotheses(H)
         if not all(hyp.passes[k] for k in ("H1", "H2", "H3")):

@@ -4,7 +4,9 @@ only in the much slower benchmark self-test."""
 
 from pathlib import Path
 
-from pmcsurf import solver
+from pmcsurf import integrals, solver
+from pmcsurf.cartesian import hyperboloid, surface_field
+from pmcsurf.fields import BoxGrid
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -22,3 +24,22 @@ def test_tracer_hooks_install_and_record(monkeypatch):
     assert {"solver.linear_solve", "solver.jacobian", "solver.residual", "solver.slope_sq"} <= names
     assert tracer.counts["solver.jacobian.nnz"] > 0
     assert tracer.counts["solver.newton_iters"] == rep.iterations
+
+
+def test_tracer_hooks_cover_the_verifiers(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import tracing
+
+    fld = surface_field(hyperboloid(1.0), BoxGrid.cube(2, 3.0, 41))
+    tracer = tracing.Tracer()
+    with tracer.installed():
+        integrals.willmore_integral(hyperboloid(1.0, 2), truncation=4, spacing=0.5, threads=2)
+        integrals.lp_growth(fld, 2.0, [0.5, 1.0])
+    names = {span[1] for span in tracer.spans}
+    assert {
+        "integrals.slab",
+        "cartesian.kernels",
+        "cartesian.field_jets",
+        "integrals.geodesic_distances",
+    } <= names
+    assert tracer.counts["integrals.jet_points"] > 0

@@ -48,6 +48,12 @@ def test_solve_usage_errors(tmp_path):
         ["check-h", "--H", "const:1", "--nt", "1"],
         ["growth", "--surface", "hyperboloid:l=1", "--p", "nan"],
         ["willmore", "--surface", "hyperboloid:l=nan"],
+        ["exhaustion", "--H", "rational:0.1", "--radii", "1:3", "--ds", "nan"],
+        ["check-h", "--H", "const:1", "--s-span", "nan"],
+        ["solve", "--H", "const:1", "--smax", "inf", "--grid", "8x16"],
+        ["exhaustion", "--H", "rational:0.1", "--radii", "1:3", "--lam", "nan"],
+        ["identities", "--step", "nan"],
+        ["growth", "--surface", "hyperboloid:l=1", "--radii=-1,2"],
     ],
 )
 def test_non_finite_or_degenerate_values_exit_64(tmp_path, argv):
@@ -87,6 +93,12 @@ def test_config_file_flags_override(tmp_path):
 
     conf.write_text("[solve]\nH = const:1\nsmax = 2\nwibble = 3\n")
     assert main(["solve", "--config", str(conf)]) == 64
+
+
+def test_non_finite_config_value_exit_64(tmp_path):
+    conf = tmp_path / "run.conf"
+    conf.write_text("[exhaustion]\nH = rational:0.1\nradii = 1:3\nlam = nan\n")
+    assert main(["exhaustion", "--config", str(conf), "--outdir", str(tmp_path)]) == 64
 
 
 def test_reports_are_byte_identical(tmp_path):

@@ -207,6 +207,36 @@ def test_lp_growth_discrete_route_monotone():
     assert np.all(series.lm_norms >= series.gauss_image_measure ** 0.5 - 1e-9)
 
 
+def test_ball_radii_must_be_finite_and_nonnegative():
+    surf, radius = hyperboloid(1.0, 2), hyperboloid_chart_radius(1.0)
+    fld = surface_field(hyperboloid(1.0), BoxGrid.cube(2, 3.0, 41))
+    for bad in (-1.0, np.nan, np.inf):
+        with pytest.raises(UsageError):
+            local_gauss_estimate(surf, bad, chart_radius=radius)
+        with pytest.raises(UsageError):
+            lp_growth(surf, 2.0, [bad, 2.0], chart_radius=radius)
+        with pytest.raises(UsageError):
+            local_gauss_estimate(fld, bad)
+        with pytest.raises(UsageError):
+            lp_growth(fld, 2.0, [bad, 1.0])
+
+
+def test_gauss_estimate_is_the_growth_series_at_one_radius():
+    # one ball reduction: ||H||_m and |N^+|^{1/m} agree between the two
+    # public functions on both routes
+    fld = surface_field(bumped_hyperboloid(0.08), BoxGrid.cube(2, 4.0, 121))
+    routes = (
+        (saddle_hyperboloid(), {"chart_radius": hyperboloid_chart_radius(1.0)}),
+        (fld, {}),
+    )
+    for obj, kw in routes:
+        rho = 1.0
+        est = local_gauss_estimate(obj, rho, **kw)
+        series = lp_growth(obj, 2, [rho, 1.5], **kw)
+        assert est.lhs == pytest.approx(series.lm_norms[0], rel=1e-15, abs=0)
+        assert est.rhs == pytest.approx(series.gauss_image_measure[0] ** 0.5, rel=1e-15, abs=0)
+
+
 def test_chart_radius_against_distance():
     # geodesic radius rho on the scaled sheet maps to chart radius l sinh(rho/l)
     for l in (0.5, 1.0, 2.0):

@@ -129,6 +129,9 @@ def test_hypotheses_usage():
         sv.check_hypotheses(H)
     with pytest.raises(UsageError):
         sv.check_hypotheses(sv.constant_curvature(1.0), requested_radii=(1.5, 2.0))
+    for bad in (np.nan, np.inf, 0.0):
+        with pytest.raises(UsageError):
+            sv.check_hypotheses(sv.constant_curvature(1.0), s_span=bad)
 
 
 def test_fd_fallback_matches_analytic():
@@ -381,6 +384,9 @@ def test_exhaustion_usage_errors(H01):
         sv.exhaustion(H01, [2, 2, 3])
     with pytest.raises(UsageError):
         sv.exhaustion(H01, [1, 2], s0=1.5)
+    for bad in (np.nan, np.inf, 0.0):
+        with pytest.raises(UsageError):
+            sv.exhaustion(H01, [1, 2], ds=bad)
 
 
 def test_uniqueness_probe(H01):
