@@ -54,9 +54,9 @@ class RunConfig:
         # threads and outdir are legal in any section even when unused
         self._seen = {"threads", "outdir"}
 
-    def get(self, key, default=None, cast=str):
+    def get(self, key, default=None, cast=str, positive=False):
         """The flag, else the file's value cast, else default; a non-finite
-        float from a flag or the file is a usage error."""
+        float, or with positive a value <= 0, is a usage error."""
         self._seen.add(key)
         val = self._ns.get(key.replace("-", "_"))
         if val is None:
@@ -69,6 +69,8 @@ class RunConfig:
                 raise UsageError("config key %r: %s" % (key, exc)) from exc
         if isinstance(val, float) and not math.isfinite(val):
             raise UsageError("%s must be finite, got %r" % (key, val))
+        if positive and not val > 0:
+            raise UsageError("%s must be positive, got %r" % (key, val))
         return val
 
     def require(self, key, cast=str):
@@ -99,6 +101,11 @@ def _finite(text):
     if not math.isfinite(v):
         raise ValueError("%r is not finite" % text)
     return v
+
+
+def _barrier_pair(text):
+    l, L = (_finite(x) for x in str(text).split(","))
+    return l, L
 
 
 def _parse_radii(text):
@@ -195,8 +202,8 @@ def cmd_solve(conf):
     s_max = conf.require("smax", float)
     n_s, n_th = _parse_grid(conf.get("grid", "64x128"))
     boundary = conf.get("boundary", 0.0, float)
-    tol = conf.get("tol", 1e-10, float)
-    max_iters = conf.get("max-iters", 50, int)
+    tol = conf.get("tol", 1e-10, float, positive=True)
+    max_iters = conf.get("max-iters", 50, int, positive=True)
     field_path = _outpath(conf, "field-file", "solution.field")
     report_path = _outpath(conf, "report-file", "solve_report.json")
     conf.check_consumed()
@@ -231,7 +238,7 @@ def cmd_exhaustion(conf):
     n_theta = conf.get("ntheta", 96, int)
     s0 = conf.get("s0", 1.0, float)
     lam = conf.get("lam", 2.0, float)
-    tol = conf.get("tol", 1e-10, float)
+    tol = conf.get("tol", 1e-10, float, positive=True)
     report_path = _outpath(conf, "report-file", "exhaustion_report.json")
     conf.check_consumed()
 
@@ -262,13 +269,12 @@ def cmd_willmore(conf):
     spec = conf.require("surface")
     m = conf.get("m", None, int)
     R = conf.get("R", 50.0, float)
-    spacing = conf.get("spacing", None, float)
     threads = conf.get("threads", default_threads(), int)
     report_path = _outpath(conf, "report-file", "willmore_report.json")
     conf.check_consumed()
 
     obj, _, _ = _parse_surface(spec, m)
-    rep = integrals.willmore_integral(obj, truncation=R, spacing=spacing, threads=threads)
+    rep = integrals.willmore_integral(obj, truncation=R, threads=threads)
     # the truncated integral may sit below the bound by what the tail holds
     tolerance = rep.quad_tolerance + rep.tail_estimate
     ok = rep.integral + tolerance >= rep.lower_bound
@@ -321,13 +327,7 @@ def cmd_growth(conf):
 def cmd_check_h(conf):
     hspec = conf.require("H")
     H = solver.parse_curvature(hspec)
-    requested = None
-    raw = conf.get("lL", None)
-    if raw is not None:
-        parts = str(raw).split(",")
-        if len(parts) != 2:
-            raise UsageError("lL must look like 0.8,1.25")
-        requested = (float(parts[0]), float(parts[1]))
+    requested = conf.get("lL", None, _barrier_pair)
     n_t = conf.get("nt", 41, int)
     n_s = conf.get("ns", 41, int)
     s_span = conf.get("s-span", 8.0, float)
@@ -358,8 +358,8 @@ def cmd_check_h(conf):
 
 
 def cmd_identities(conf):
-    step = conf.get("step", 0.08, float)
-    tau_step = conf.get("tau-step", 2e-2, float)
+    step = conf.get("step", 0.08, float, positive=True)
+    tau_step = conf.get("tau-step", 2e-2, float, positive=True)
     n_s, n_th = _parse_grid(conf.get("grid", "32x64"))
     s_max = conf.get("smax", 3.0, float)
     hspec = conf.get("H", "rational:0.1")
@@ -458,7 +458,6 @@ def make_parser():
     w.add_argument("--surface", help="hyperboloid:l=1, bumped:eps=0.05, saddle, field:<file>")
     w.add_argument("--m", type=int)
     w.add_argument("--R", type=float, help="truncation radius")
-    w.add_argument("--spacing", type=float)
     w.add_argument("--report-file")
 
     g = sub.add_parser("growth", parents=[shared], help="L^p curvature mass on growing balls")
@@ -470,7 +469,7 @@ def make_parser():
 
     c = sub.add_parser("check-h", parents=[shared], help="sampled hypothesis checks")
     c.add_argument("--H")
-    c.add_argument("--lL", help="requested barrier pair, e.g. 0.8,1.25")
+    c.add_argument("--lL", type=_barrier_pair, help="requested barrier pair, e.g. 0.8,1.25")
     c.add_argument("--nt", type=int)
     c.add_argument("--ns", type=int)
     c.add_argument("--s-span", type=float)

@@ -8,6 +8,7 @@ with "#" are skipped. All floats are written with 17 significant digits
 so they round-trip.
 """
 
+import contextlib
 import csv
 import os
 
@@ -22,6 +23,15 @@ _FMT = "%.17g"
 def _require(path):
     if not os.path.exists(path):
         raise FileNotFoundError(path)
+
+
+@contextlib.contextmanager
+def _casts(path):
+    """A number that fails to parse makes the file malformed, not a crash."""
+    try:
+        yield
+    except ValueError as exc:
+        raise UsageError("malformed field file %s: %s" % (path, exc)) from exc
 
 
 def write_radial_field(fld, path):
@@ -39,7 +49,7 @@ def read_radial_field(path):
     _require(path)
     header = {}
     values = []
-    with open(path) as fh:
+    with open(path) as fh, _casts(path):
         for line in fh:
             line = line.strip()
             if not line or line.startswith("#"):
@@ -52,8 +62,10 @@ def read_radial_field(path):
     missing = {"m", "n_s", "n_th", "s_max"} - set(header)
     if missing:
         raise UsageError("radial field header missing %s" % sorted(missing))
-    m = int(header["m"])
-    grid = PolarGrid(int(header["n_s"]), int(header["n_th"]), float(header["s_max"]))
+    with _casts(path):
+        m = int(header["m"])
+        shape = int(header["n_s"]), int(header["n_th"]), float(header["s_max"])
+    grid = PolarGrid(*shape)
     values = np.asarray(values, dtype=float)
     if m != 2:
         raise UsageError("radial field files are two dimensional (m = 2)")
@@ -75,7 +87,7 @@ def read_cartesian_field(path):
     _require(path)
     m = None
     rs, ns, values = [], [], []
-    with open(path) as fh:
+    with open(path) as fh, _casts(path):
         for line in fh:
             line = line.strip()
             if not line or line.startswith("#"):

@@ -8,17 +8,18 @@ ball against the Jacobian measure of the Gauss image of the convexity
 set. The growth series tracks L^p norms of H on expanding balls, which
 cannot stay bounded for these surfaces when p <= m.
 
-Two reductions carry them. _slab_sums sums nodal cell values of the
-total-curvature functional over a Cartesian ball, with the resolution
-error estimated from a half-resolution pass. _ball_masses integrates
-|H|^p, the Gauss-image density and the volume over geodesic balls: by
-composite Simpson in r times the periodic trapezoid rule in theta on
-chart-round balls of model surfaces, and by nodal cell sums over
-shortest-path balls on sampled fields.
+One quadrature rule carries the analytic surfaces. _polar_panels lays
+Gauss-Legendre radii on geometrically graded panels of a ball and pairs
+each radius with the periodic trapezoid rule in angle (m = 2), or with
+Gauss-Legendre polar cosines times trapezoid azimuths (m = 3); the
+Willmore pass and the chart-round balls of _ball_masses both integrate
+on it. Sampled fields have no analytic jets and keep nodal cell sums:
+over the box nodes for the Willmore functional, over shortest-path
+balls for _ball_masses.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 from scipy.sparse import coo_matrix
@@ -92,84 +93,82 @@ class WillmoreReport:
     sigma_plus_fraction: float
     quad_tolerance: float
     truncation: float
-    spacing: float
     m: int
 
     def as_dict(self):
-        return {
-            "integral": self.integral,
-            "lower_bound": self.lower_bound,
-            "tail_estimate": self.tail_estimate,
-            "sigma_plus_fraction": self.sigma_plus_fraction,
-            "quad_tolerance": self.quad_tolerance,
-            "truncation": self.truncation,
-            "spacing": self.spacing,
-            "m": self.m,
-        }
+        return asdict(self)
 
 
 _N_SHELL = 12  # shells over 0.8 R <= r <= R whose means feed the tail fit
+_N_GL = 8  # Gauss-Legendre radii per panel of the analytic rule
 
 
-def _shell_edges(R):
-    return np.linspace(0.8 * R, R, _N_SHELL + 1)
+def _polar_panels(R, m, n):
+    """Quadrature nodes of the ball |x| <= R, one radial panel at a time.
+
+    Yields (points, weights, radii) per panel. Panel edges are 0, 1/4,
+    then doubling while below 0.8 R, then 0.8 R and R, so the outermost
+    panel spans the tail fit's shells. Each panel carries n
+    Gauss-Legendre radii; each radius carries 4n trapezoid angles for
+    m = 2, or 2n Gauss-Legendre polar cosines times 4n trapezoid
+    azimuths for m = 3. The weights include the r^{m-1} of polar
+    coordinates.
+    """
+    edges, e = [0.0], 0.25
+    while e < 0.8 * R:
+        edges.append(e)
+        e *= 2.0
+    edges += [0.8 * R, R]
+    dth = 2.0 * np.pi / (4 * n)
+    th = dth * np.arange(4 * n)
+    dirs, wdir = np.stack([np.cos(th), np.sin(th)], axis=-1), np.full(4 * n, dth)
+    if m == 3:
+        mu, wmu = np.polynomial.legendre.leggauss(2 * n)
+        sin_polar = np.sqrt(1.0 - mu**2)[:, None, None]
+        cos_polar = np.broadcast_to(mu[:, None, None], (2 * n, 4 * n, 1))
+        dirs = np.concatenate([sin_polar * dirs, cos_polar], axis=-1).reshape(-1, 3)
+        wdir = np.outer(wmu, wdir).ravel()
+    elif m != 2:
+        raise UsageError("polar quadrature is implemented for m in {2, 3}")
+    x, wx = np.polynomial.legendre.leggauss(n)
+    for a, b in zip(edges[:-1], edges[1:]):
+        r = a + 0.5 * (b - a) * (x + 1.0)
+        w = 0.5 * (b - a) * wx * r ** (m - 1)
+        pts = (r[:, None, None] * dirs).reshape(-1, m)
+        yield pts, np.outer(w, wdir).ravel(), np.repeat(r, wdir.size)
 
 
 def _cell_sums(grad, hess, r, cell, R):
-    """Cell sums of the functional, the volume and its convex part, plus the
-    per-shell integrand sums and node counts for _tail_power_fit."""
+    """Weighted sums of the functional, the volume and its convex part, plus
+    per-shell sums of the weighted integrand, radius and weight for
+    _tail_power_fit. cell is a node weight: one box cell or an array."""
     m = grad.shape[-1]
     phi, H, K, plus = _jet_pointwise(grad, hess)
     integrand = np.abs(H) ** m * phi ** (-m - 2)
     dv = cell / phi
-    idx = np.searchsorted(_shell_edges(R), r, side="right") - 1
+    idx = np.searchsorted(np.linspace(0.8 * R, R, _N_SHELL + 1), r, side="right") - 1
     ok = (idx >= 0) & (idx < _N_SHELL)
-    return (
-        float(np.sum(integrand * cell)),
-        float(np.sum(dv)),
-        float(np.sum(dv[plus])),
-        np.bincount(idx[ok], weights=integrand[ok], minlength=_N_SHELL),
-        np.bincount(idx[ok], minlength=_N_SHELL).astype(float),
-    )
+    w = np.broadcast_to(cell, r.shape)[ok]
+    per_shell = (integrand[ok] * w, r[ok] * w, w)
+    shells = [np.bincount(idx[ok], weights=v, minlength=_N_SHELL) for v in per_shell]
+    return [float(np.sum(integrand * cell)), float(np.sum(dv)), float(np.sum(dv[plus]))] + shells
 
 
-def _slab_sums(surf, axes, R, threads):
-    """_cell_sums over the ball |x| <= R of the node grid spanned by axes.
-
-    One pool item per x_0 slab; the slab records are summed in slab
-    order, whatever order the pool ran them in.
-    """
-    cell = (axes[0][1] - axes[0][0]) ** len(axes)
-    rest = list(np.meshgrid(*axes[1:], indexing="ij"))
-
-    def one_slab(x0):
-        pts = np.stack([np.full(rest[0].shape, x0)] + rest, axis=-1)
-        r = np.sqrt(np.sum(pts * pts, axis=-1))
-        keep = r <= R
-        pts = pts[keep]
-        return _cell_sums(surf.grad(pts), surf.hess(pts), r[keep], cell, R)
-
-    parts = parallel_map(one_slab, axes[0], threads)
-    total, vol, vol_plus, s_int, s_cnt = (np.sum(col, axis=0) for col in zip(*parts))
-    return float(total), float(vol), float(vol_plus), s_int, s_cnt
-
-
-def _tail_power_fit(s_int, s_cnt, m, R):
+def _tail_power_fit(s_int, s_r, s_w, m, R):
     """Extrapolate the integrand's power-law tail past the truncation.
 
-    Fits mean integrand ~ C r^{-q} on the outer shells and integrates
-    C sigma_{m-1} r^{m-1-q} from R on out. A fit flatter than r^{-m}
-    has no finite tail; the estimate is then infinite.
+    Fits the shell means of the integrand ~ C r^{-q} against the shells'
+    mean node radii and integrates C sigma_{m-1} r^{m-1-q} from R on
+    out. A fit flatter than r^{-m} has no finite tail; the estimate is
+    then infinite.
     """
-    good = s_cnt > 0
+    good = s_w > 0
     if good.sum() < 3:
         return float("nan")
-    shell_edges = _shell_edges(R)
-    mid = 0.5 * (shell_edges[:-1] + shell_edges[1:])[good]
-    mean = s_int[good] / s_cnt[good]
+    mean = s_int[good] / s_w[good]
     if np.any(mean <= 0.0):
         return 0.0
-    slope, level = np.polyfit(np.log(mid), np.log(mean), 1)
+    slope, level = np.polyfit(np.log(s_r[good] / s_w[good]), np.log(mean), 1)
     q = -slope
     if q <= m + 1e-9:
         return float("inf")
@@ -177,14 +176,18 @@ def _tail_power_fit(s_int, s_cnt, m, R):
     return c * sphere_area(m - 1) * R ** (m - q) / (q - m)
 
 
-def willmore_integral(obj, truncation=50.0, spacing=None, threads=None):
+def willmore_integral(obj, truncation=50.0, threads=None):
     """Quadrature of |H|^m phi^{-m-1} dv over |x| <= truncation.
 
-    Works from exact jets of an analytic surface or from second-order
-    discrete jets of a sampled field (whose two outermost rings are
-    excluded, so the ball must sit well inside the box). The reported
-    quad_tolerance is a Richardson estimate from a half-resolution pass;
-    tail_estimate extrapolates the integrand's decay past the ball.
+    An analytic surface is integrated from exact jets on the graded
+    polar rule of _polar_panels, one pool item per radial panel; the
+    integral is the rule I_n with n = _N_GL radii per panel and
+    quad_tolerance = |I_n - I_2n|, the step to twice the nodes per axis.
+    A sampled field is integrated from second-order discrete jets by
+    cell sums over its nodes (the two outermost rings excluded, so the
+    ball must sit well inside the box); quad_tolerance is then the
+    Richardson estimate from every second node. tail_estimate
+    extrapolates the integrand's decay past the ball.
     """
     threads = default_threads() if threads is None else threads
     R = float(truncation)
@@ -197,23 +200,22 @@ def willmore_integral(obj, truncation=50.0, spacing=None, threads=None):
     if m not in (2, 3):
         raise UsageError("integrals are desk scale only for m in {2, 3}")
     if analytic:
-        if spacing is None:
-            spacing = 0.25 if m == 2 else 0.5
-        if not 0 < spacing < math.inf:
-            raise UsageError("spacing must be positive and finite")
-        k = max(8, int(round(R / spacing)))
-        if k % 2:
-            k += 1
-        axes = [np.linspace(-R, R, 2 * k + 1)] * m
-        fine = _slab_sums(obj, axes, R, threads)
-        tot_c = _slab_sums(obj, [ax[::2] for ax in axes], R, threads)[0]
-        h = axes[0][1] - axes[0][0]
+
+        def one_panel(panel):
+            pts, w, r = panel
+            return _cell_sums(obj.grad(pts), obj.hess(pts), r, w, R)
+
+        def rule(n):
+            parts = parallel_map(one_panel, _polar_panels(R, m, n), threads)
+            return [np.sum(col, axis=0) for col in zip(*parts)]
+
+        fine = rule(_N_GL)
+        quad_tol = abs(fine[0] - rule(2 * _N_GL)[0])
     else:
         # sampled field: discrete jets on its own grid, the coarse pass on
         # every second node
         g = obj.grid
-        h = max(g.spacing)
-        if R > min(g.extents) - 2 * h:
+        if R > min(g.extents) - 2 * max(g.spacing):
             raise UsageError("truncation ball must fit inside the sampled interior")
         grad, hess, interior = field_jets(obj)
         r = g.node_radii()
@@ -223,15 +225,15 @@ def willmore_integral(obj, truncation=50.0, spacing=None, threads=None):
         sub = tuple(slice(None, None, 2) for _ in range(m))
         kc = keep[sub]
         tot_c = _cell_sums(grad[sub][kc], hess[sub][kc], r[sub][kc], cell * 2**m, R)[0]
-    total, vol, vol_plus, s_int, s_cnt = fine
+        quad_tol = abs(fine[0] - tot_c) / 3.0
+    total, vol, vol_plus, *shells = fine
     return WillmoreReport(
-        integral=total,
+        integral=float(total),
         lower_bound=unit_ball_volume(m),
-        tail_estimate=_tail_power_fit(s_int, s_cnt, m, R),
-        sigma_plus_fraction=vol_plus / vol if vol > 0 else 0.0,
-        quad_tolerance=abs(total - tot_c) / 3.0,
+        tail_estimate=_tail_power_fit(*shells, m, R),
+        sigma_plus_fraction=float(vol_plus / vol) if vol > 0 else 0.0,
+        quad_tolerance=float(quad_tol),
         truncation=R,
-        spacing=h,
         m=m,
     )
 
@@ -295,9 +297,6 @@ class GaussEstimate:
         return {"rho": self.rho, "lhs": self.lhs, "rhs": self.rhs, "gap": self.gap}
 
 
-_N_R, _N_TH = 1536, 192  # polar nodes of a chart-round ball (n_r even for Simpson)
-
-
 def _ball_masses(obj, p, radii, chart_radius=None, center=None):
     """Curvature masses of the geodesic balls B_rho, one column per radius.
 
@@ -305,11 +304,10 @@ def _ball_masses(obj, p, radii, chart_radius=None, center=None):
     |H|^p dv (p = m when p is None) and |H|^m dv, the Gauss-image measure
     (the integral of K dv over the convexity set, floored at 0) and the
     volume. With chart_radius, obj is a model surface whose balls around
-    the apex are chart-round with chart radius chart_radius(rho):
-    composite Simpson in r times the periodic trapezoid rule in theta,
-    jets evaluated one ball at a time. Without it, obj is a sampled
-    field: cell sums over shortest-path balls, with distances and jets
-    computed once.
+    the apex are chart-round with chart radius chart_radius(rho): the
+    graded polar rule of _polar_panels on each ball, jets evaluated one
+    ball at a time. Without it, obj is a sampled field: cell sums over
+    shortest-path balls, with distances and jets computed once.
     """
     radii = np.asarray(radii, dtype=float)
     if not np.all(np.isfinite(radii) & (radii >= 0.0)):
@@ -318,18 +316,12 @@ def _ball_masses(obj, p, radii, chart_radius=None, center=None):
         raise UsageError("pass an analytic surface with chart_radius, a sampled field without")
     if chart_radius is not None:
         m = obj.m
-        if m != 2:
-            raise UsageError("polar ball quadrature is planar only")
-        th = np.linspace(0.0, 2.0 * np.pi, _N_TH, endpoint=False)
-        simpson = np.ones(_N_R + 1)
-        simpson[1:-1:2], simpson[2:-1:2] = 4.0, 2.0
 
         def ball(rho):
-            r = np.linspace(0.0, float(chart_radius(rho)), _N_R + 1)
-            pts = np.stack([np.outer(r, np.cos(th)), np.outer(r, np.sin(th))], axis=-1)
+            panels = _polar_panels(float(chart_radius(rho)), m, _N_GL)
+            pts, w, _ = (np.concatenate(col) for col in zip(*panels))
             phi, H, K, plus = _jet_pointwise(obj.grad(pts), obj.hess(pts))
-            w = simpson * (r[1] - r[0]) / 3.0 * r * (2.0 * np.pi / _N_TH)
-            return H, K, plus, w[:, None] / phi
+            return H, K, plus, w / phi
 
     else:
         m = obj.grid.m
@@ -360,7 +352,10 @@ def hyperboloid_chart_radius(l=1.0):
     l = float(l)
 
     def radius(rho):
-        return l * math.sinh(rho / l)
+        try:
+            return l * math.sinh(rho / l)
+        except OverflowError:
+            raise DomainError("the chart radius of rho = %g overflows a float" % rho) from None
 
     return radius
 

@@ -23,7 +23,7 @@ from scipy.optimize import brentq
 from scipy.sparse import coo_matrix
 from scipy.sparse.linalg import spsolve
 
-from .errors import BracketError, NotSpacelikeError, UsageError
+from .errors import BracketError, DomainError, NotSpacelikeError, UsageError
 from .fields import (
     PolarGrid, ScalarField, diff_s, diff_theta, gradient_norm_sq, polar_gradient, polar_jets,
     pole_gradient,
@@ -70,8 +70,8 @@ class PrescribedCurvature:
 
 def constant_curvature(c):
     c = float(c)
-    if not c > 0:
-        raise UsageError("constant curvature must be positive")
+    if not 0 < c < math.inf:
+        raise UsageError("constant curvature must be positive and finite")
 
     def hbar(t, s, th=0.0):
         return np.broadcast_arrays(np.asarray(t, dtype=float) * 0.0 + c, s)[0]
@@ -91,7 +91,7 @@ def rational_curvature(eps=0.0):
     at l = 0.8 and s = 0.
     """
     eps = float(eps)
-    if eps < 0 or eps >= 1:
+    if not 0 <= eps < 1:
         raise UsageError("sech amplitude must lie in [0, 1)")
 
     def hbar(t, s, th=0.0):
@@ -141,6 +141,8 @@ def table_curvature(path):
         raise UsageError("malformed curvature table: %s" % exc) from exc
     if vals.shape != (len(t_grid), len(s_grid)):
         raise UsageError("ragged curvature table")
+    if not all(np.all(np.isfinite(a)) for a in (s_grid, t_grid, vals)):
+        raise UsageError("curvature table contains non-finite values")
     if np.any(np.diff(t_grid) <= 0) or np.any(np.diff(s_grid) <= 0):
         raise UsageError("table grids must be strictly increasing")
     if vals.min() <= 0:
@@ -923,6 +925,8 @@ def _psi_records(fld, lam):
     w = 1.0 / np.sqrt(1.0 - slopes.gam_n)
     wp = 1.0 / math.sqrt(1.0 - slopes.pole_sq)
     out = {}
+    if abs(lam) * np.abs(M).max() > 700.0:
+        raise DomainError("psi = w exp(+-lam u) overflows a float at lam = %g" % lam)
     for sign, tag in ((lam, "psi_plus"), (-lam, "psi_minus")):
         vals = w * np.exp(sign * M[1 : g.n_s])
         pole_val = wp * math.exp(sign * M[0, 0])

@@ -33,7 +33,7 @@ def test_tracer_hooks_cover_the_verifiers(monkeypatch):
     fld = surface_field(hyperboloid(1.0), BoxGrid.cube(2, 3.0, 41))
     tracer = tracing.Tracer()
     with tracer.installed():
-        integrals.willmore_integral(hyperboloid(1.0, 2), truncation=4, spacing=0.5, threads=2)
+        integrals.willmore_integral(hyperboloid(1.0, 2), truncation=4, threads=2)
         integrals.lp_growth(fld, 2.0, [0.5, 1.0])
     names = {span[1] for span in tracer.spans}
     assert {
@@ -43,3 +43,5 @@ def test_tracer_hooks_cover_the_verifiers(monkeypatch):
         "integrals.geodesic_distances",
     } <= names
     assert tracer.counts["integrals.jet_points"] > 0
+    # the benchmark's integrals.slab span times the Willmore pool items
+    assert tracer.counts["util.parallel_map.items"] > 0

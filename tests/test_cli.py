@@ -54,10 +54,40 @@ def test_solve_usage_errors(tmp_path):
         ["exhaustion", "--H", "rational:0.1", "--radii", "1:3", "--lam", "nan"],
         ["identities", "--step", "nan"],
         ["growth", "--surface", "hyperboloid:l=1", "--radii=-1,2"],
+        ["check-h", "--H", "rational:nan"],
+        ["check-h", "--H", "const:inf"],
+        ["check-h", "--H", "table:NAN_TABLE"],
+        ["solve", "--H", "rational:0.1", "--smax", "3", "--grid", "16x32", "--tol", "0"],
+        ["solve", "--H", "rational:0.1", "--smax", "3", "--grid", "16x32", "--tol", "-1"],
+        ["solve", "--H", "rational:0.1", "--smax", "3", "--grid", "16x32", "--max-iters", "0"],
+        ["solve", "--H", "rational:0.1", "--smax", "3", "--grid", "16x32", "--max-iters", "-3"],
+        ["identities", "--step", "0"],
+        ["identities", "--step", "-1"],
+        ["identities", "--tau-step", "0"],
+        ["check-h", "--H", "const:1", "--lL", "0.8,abc"],
     ],
 )
 def test_non_finite_or_degenerate_values_exit_64(tmp_path, argv):
+    table = tmp_path / "nan.csv"
+    table.write_text("x,0,1,2,3\n-1,1,1,1,1\n0,1,nan,1,1\n1,1,1,1,1\n2,1,1,1,1\n")
+    argv = [a.replace("NAN_TABLE", str(table)) for a in argv]
     assert main(argv + ["--outdir", str(tmp_path)]) == 64
+
+
+def test_float_overflow_exits_2(tmp_path, capsys):
+    # a chart radius sinh(1000) and psi = w exp(1e300 u) are beyond a float
+    d = str(tmp_path)
+    assert main(["growth", "--surface", "hyperboloid:l=1", "--radii", "1,1000", "--outdir", d]) == 2
+    assert "overflows" in capsys.readouterr().err
+    assert main(["exhaustion", "--H", "rational:0.1", "--radii", "1:3", "--lam", "1e300",
+                 "--outdir", d]) == 2
+    assert "overflows" in capsys.readouterr().err
+
+
+def test_malformed_field_files_exit_64(tmp_path):
+    box = tmp_path / "bad.box"
+    box.write_text("m 2\nR 1\nn 3\nR 1\nn 3\n1\n2\nabc\n4\n5\n6\n7\n8\n9\n")
+    assert main(["willmore", "--surface", "field:%s" % box, "--outdir", str(tmp_path)]) == 64
 
 
 def test_missing_inputs_exit_66(tmp_path):
@@ -108,6 +138,16 @@ def test_reports_are_byte_identical(tmp_path):
     assert main(args + ["--outdir", str(d2)]) == 0
     assert (d1 / "solve_report.json").read_bytes() == (d2 / "solve_report.json").read_bytes()
     assert (d1 / "solution.field").read_bytes() == (d2 / "solution.field").read_bytes()
+
+
+def test_willmore_report_does_not_depend_on_threads(tmp_path):
+    args = ["willmore", "--surface", "bumped:eps=0.05,m=3", "--R", "8"]
+    runs = [("t1", "1"), ("t2", "2"), ("t2b", "2")]
+    for name, threads in runs:
+        assert main(args + ["--threads", threads, "--outdir", str(tmp_path / name)]) == 0
+    first = (tmp_path / "t1" / "willmore_report.json").read_bytes()
+    for name, _ in runs[1:]:
+        assert (tmp_path / name / "willmore_report.json").read_bytes() == first
 
 
 def test_exhaustion_outputs(tmp_path):
@@ -205,8 +245,7 @@ def test_identities_report(tmp_path):
 def test_threads_env_fallback(tmp_path, monkeypatch):
     monkeypatch.setenv("PMC_THREADS", "2")
     d = str(tmp_path)
-    rc = main(["willmore", "--surface", "hyperboloid:l=1", "--R", "10",
-               "--spacing", "0.5", "--outdir", d])
+    rc = main(["willmore", "--surface", "hyperboloid:l=1", "--R", "10", "--outdir", d])
     assert rc == 0
 
 

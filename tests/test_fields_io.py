@@ -107,6 +107,21 @@ def test_radial_field_file_errors(tmp_path):
         fieldio.read_radial_field(p)
 
 
+def test_malformed_field_files_raise_usage_errors(tmp_path):
+    bad = {
+        fieldio.read_radial_field: ["m 2\nn_s x\nn_th 4\ns_max 1\n",
+                                    "m 2\nn_s 1\nn_th 4\ns_max 1\n0\nabc\n0\n0\n0\n"],
+        fieldio.read_cartesian_field: ["m 2\nR 1\nn 3\nR 1\nn 3\n1\n2\nabc\n4\n5\n6\n7\n8\n9\n",
+                                       "m two\nR 1\nn 3\nR 1\nn 3\n"],
+    }
+    p = tmp_path / "bad.txt"
+    for reader, texts in bad.items():
+        for text in texts:
+            p.write_text(text)
+            with pytest.raises(UsageError, match="malformed"):
+                reader(p)
+
+
 def test_box_grid_and_cartesian_round_trip(tmp_path):
     g = BoxGrid.cube(2, 1.5, 11)
     assert g.spacing == (0.3, 0.3)

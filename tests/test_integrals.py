@@ -65,6 +65,21 @@ def test_willmore_hyperboloid_m3():
     assert rep.integral >= bound - rep.quad_tolerance - rep.tail_estimate
 
 
+def test_willmore_tolerances_bracket_the_true_errors():
+    # closed forms at R = 50: the truncated integral and the dropped tail
+    R = 50.0
+    cases = (
+        (2, np.pi * (1.0 - 1.0 / (1.0 + R**2)), np.pi / (1.0 + R**2)),
+        (3, 4.0 * np.pi / 3.0 * R**3 / (1.0 + R**2) ** 1.5,
+         4.0 * np.pi / 3.0 * (1.0 - R**3 / (1.0 + R**2) ** 1.5)),
+    )
+    for m, truncated, gap in cases:
+        rep = willmore_integral(hyperboloid(1.0, m), truncation=R)
+        err = abs(rep.integral - truncated)
+        assert err <= rep.quad_tolerance <= 10.0 * err + 1e-14
+        assert rep.tail_estimate >= gap
+
+
 def test_willmore_strictness_monotone():
     gaps = []
     for eps in (0.02, 0.05, 0.1):
@@ -80,14 +95,14 @@ def test_willmore_field_route_matches_surface_route():
     grid = BoxGrid.cube(2, 22.0, 353)
     fld = surface_field(hyperboloid(1.0), grid)
     rep_f = willmore_integral(fld, truncation=20.0)
-    rep_s = willmore_integral(hyperboloid(1.0, 2), truncation=20.0, spacing=0.125)
+    rep_s = willmore_integral(hyperboloid(1.0, 2), truncation=20.0)
     assert abs(rep_f.integral - rep_s.integral) < 5e-4
     with pytest.raises(UsageError):
         willmore_integral(fld, truncation=25.0)
 
 
 def test_willmore_saddle_mixed_mask():
-    rep = willmore_integral(saddle_hyperboloid(), truncation=20.0, spacing=0.25)
+    rep = willmore_integral(saddle_hyperboloid(), truncation=20.0)
     assert 0.0 < rep.sigma_plus_fraction < 1.0
     assert rep.integral > rep.lower_bound
 
@@ -157,6 +172,20 @@ def test_lp_growth_closed_form():
     assert np.all(np.diff(series.volumes) > 0)
     # mass between consecutive unit radii more than doubles far out
     assert series.lp_norms[-1] ** 2 > 2.0 * series.lp_norms[-2] ** 2
+
+
+def test_chart_round_balls_match_the_closed_forms():
+    radius = hyperboloid_chart_radius(1.0)
+    radii = np.arange(1.0, 9.0)
+    series = lp_growth(hyperboloid(1.0, 2), 2.0, radii, chart_radius=radius)
+    area = 2.0 * np.pi * (np.cosh(radii) - 1.0)
+    assert np.abs(series.volumes / area - 1.0).max() <= 1e-10
+    assert np.abs(series.lp_norms**2 / area - 1.0).max() <= 1e-10
+    # m = 3: the ball volume of the unit sheet is pi (sinh 2 rho - 2 rho)
+    radii = np.array([0.5, 1.0, 2.0, 3.0])
+    series = lp_growth(hyperboloid(1.0, 3), 3.0, radii, chart_radius=radius)
+    volume = np.pi * (np.sinh(2.0 * radii) - 2.0 * radii)
+    assert np.abs(series.volumes / volume - 1.0).max() <= 1e-10
 
 
 def test_lp_growth_gauss_lower_bound_everywhere():
