@@ -1,11 +1,16 @@
 """Grid containers for radial (geodesic polar) and Cartesian graph fields."""
 
+import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.interpolate import RectBivariateSpline
 
 from .errors import OutOfDomainError, UsageError
+
+
+_S_MAX_LIMIT = math.asinh(sys.float_info.max)  # sinh overflows a float past it
 
 
 @dataclass(frozen=True)
@@ -23,8 +28,8 @@ class PolarGrid:
     def __post_init__(self):
         if self.n_s < 2 or self.n_theta < 8 or self.n_theta % 2 != 0:
             raise UsageError("polar grid needs n_s >= 2 and even n_theta >= 8")
-        if not 0 < self.s_max < np.inf:
-            raise UsageError("s_max must be positive and finite")
+        if not 0 < self.s_max <= _S_MAX_LIMIT:
+            raise UsageError("s_max must be positive, at most %.4f (sinh overflows)" % _S_MAX_LIMIT)
 
     @property
     def ds(self):

@@ -19,6 +19,7 @@ balls for _ball_masses.
 """
 
 import math
+import sys
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -199,6 +200,9 @@ def willmore_integral(obj, truncation=50.0, threads=None):
     m = obj.m if analytic else obj.grid.m
     if m not in (2, 3):
         raise UsageError("integrals are desk scale only for m in {2, 3}")
+    if not R < sys.float_info.max ** (1.0 / m):
+        # node weights grow like R^m and |x|^2 like R^2
+        raise UsageError("truncation radius %g overflows the quadrature (R^%d)" % (R, m))
     if analytic:
 
         def one_panel(panel):

@@ -7,15 +7,17 @@ discretized on a geodesic polar grid. The equation is the divergence form
 
 with Dirichlet data on the boundary circle. The scheme is a finite volume
 balance with tilt factors evaluated on cell faces, solved by damped Newton
-with an analytic sparse Jacobian. A radial shooting integrator provides an
-independent oracle for rotationally symmetric data, and a residual check in
-the conformal disk chart cross-validates converged solutions against a
-different form of the same operator.
+with an analytic Jacobian: a 9-point stencil on the interior nodes plus the
+pole row, filled into a sparse index layout built once per problem. A
+radial shooting integrator provides an independent oracle for rotationally
+symmetric data, and a residual check in the conformal disk chart
+cross-validates converged solutions against a different form of the same
+operator.
 """
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 from scipy.interpolate import CubicSpline, RectBivariateSpline
@@ -332,7 +334,7 @@ class _Slopes:
     d = u_s, v = u_theta and gam_r = |Du|^2, angular faces (angles j, j + 1)
     a = u_s, c = u_theta and gam_a, interior nodes the centered u_s, u_t and
     gam_n, the pole its gradient (pa, pb). max_sq is the largest |Du|^2 of
-    them all, node_max_sq that over the nodes and the pole."""
+    them all."""
 
     def __init__(self, grid, M):
         ns, ds, s = grid.n_s, grid.ds, grid.s_nodes
@@ -347,8 +349,14 @@ class _Slopes:
         self.gam_n = gradient_norm_sq(self.u_s, self.u_t, s[1:ns, None])
         self.pa, self.pb = pole_gradient(grid, M)
         self.pole_sq = self.pa**2 + self.pb**2
-        self.node_max_sq = max(float(self.gam_n.max()), self.pole_sq)
-        self.max_sq = max(float(self.gam_r.max()), float(self.gam_a.max()), self.node_max_sq)
+        self.max_sq = max(
+            float(self.gam_r.max()), float(self.gam_a.max()), float(self.gam_n.max()), self.pole_sq
+        )
+
+    def tilts(self):
+        """Tilt factors (1 - |Du|^2)^(-1/2): w_r, w_a, w_n and the pole's w_p."""
+        w_r, w_a, w_n = (1.0 / np.sqrt(1.0 - gam) for gam in (self.gam_r, self.gam_a, self.gam_n))
+        return w_r, w_a, w_n, 1.0 / math.sqrt(1.0 - self.pole_sq)
 
 
 class DiscreteProblem:
@@ -372,17 +380,28 @@ class DiscreteProblem:
         s = grid.s_nodes
         self.s_face = np.sinh(s[:-1] + ds / 2)[:, None]
         self.s_node = np.sinh(s[1:ns])[:, None]
-        area = np.empty(ns + 1)
+        area = np.empty(ns)
         area[0] = 2 * np.pi * (np.cosh(ds / 2) - 1.0)
-        area[1:ns] = 2 * np.sinh(s[1:ns]) * np.sinh(ds / 2) * dth
-        area[ns] = 1.0  # boundary cells never assembled
+        area[1:] = 2 * np.sinh(s[1:ns]) * np.sinh(ds / 2) * dth
         self.area = area
         self._s_col = s[1:ns][:, None]
         self._th_row = grid.theta_nodes[None, :]
-        idx = np.full((ns + 1, nth), -1, dtype=int)
+        # unknown index per node (-1 on the boundary ring), int32 as scipy
+        # stores sparse indices
+        idx = np.full((ns + 1, nth), -1, dtype=np.int32)
         idx[0] = 0
         idx[1:ns] = np.arange(1, self.n_unknowns).reshape(ns - 1, nth)
-        self.idx = idx
+        # the Jacobian's (row, column) pairs, in the order jacobian() fills
+        # them: the stencil entries of every interior node, then the pole
+        # row; boundary columns are dropped here, once
+        rows = np.broadcast_to(idx[1:ns], (3, 3, ns - 1, nth))
+        cols = np.array(
+            [[np.roll(idx[a : a + ns - 1], 1 - b, axis=1) for b in range(3)] for a in range(3)]
+        )
+        rows = np.concatenate([rows.ravel(), np.zeros(nth + 1, dtype=np.int32)])
+        cols = np.concatenate([cols.ravel(), idx[0, :1], idx[1]])
+        self._keep = cols >= 0
+        self._rows, self._cols = rows[self._keep], cols[self._keep]
 
     def expand(self, x):
         """Full node matrix from the unknown vector (boundary row appended)."""
@@ -410,10 +429,7 @@ class DiscreteProblem:
         sl = _Slopes(self.grid, M)
         if sl.max_sq >= 1.0:
             raise NotSpacelikeError("grid slope reaches the light cone")
-        w_r = 1.0 / np.sqrt(1.0 - sl.gam_r)
-        w_a = 1.0 / np.sqrt(1.0 - sl.gam_a)
-        w_n = 1.0 / np.sqrt(1.0 - sl.gam_n)
-        w_p = 1.0 / math.sqrt(1.0 - sl.pole_sq)
+        w_r, w_a, w_n, w_p = sl.tilts()
         flux_r = self.s_face * w_r * sl.d
         flux_a = w_a * sl.c / self.s_node
         R = np.empty(self.n_unknowns)
@@ -426,82 +442,57 @@ class DiscreteProblem:
         return R
 
     def jacobian(self, x):
-        """Analytic linearization of residual(), as a CSR matrix."""
+        """Analytic linearization of residual(), as a CSR matrix.
+
+        A 9-point stencil fill: C[1 + di, 1 + dj] couples interior node
+        (i, j) to node (i + di, j + dj). Each face's flux derivative is laid
+        on its two cells with opposite signs. The pole row is filled apart.
+        """
         ns, nth = self.grid.n_s, self.grid.n_theta
         ds, dth = self.grid.ds, self.grid.dtheta
         M = self.expand(x)
         sl = _Slopes(self.grid, M)
-        w_r = 1.0 / np.sqrt(1.0 - sl.gam_r)
-        w_a = 1.0 / np.sqrt(1.0 - sl.gam_a)
-        w_n = 1.0 / np.sqrt(1.0 - sl.gam_n)
-        w_p = 1.0 / math.sqrt(1.0 - sl.pole_sq)
-        idx = self.idx
-        rows, cols, vals = [], [], []
+        w_r, w_a, w_n, w_p = sl.tilts()
+        C = np.zeros((3, 3, ns - 1, nth))
 
-        def put(r, cl, vl):
-            keep = (r >= 0) & (cl >= 0)
-            rows.append(r[keep])
-            cols.append(cl[keep])
-            vals.append(vl[keep])
+        # radial face i (rings i, i + 1): F[k, 1 + dj] is its flux derivative
+        # against node (i + k, j + dj); ring i adds it, ring i + 1 subtracts it
+        A = self.s_face * (w_r + w_r**3 * sl.d**2) / ds
+        Q = sl.d * w_r**3 * sl.v / self.s_face / (4 * dth)
+        F = np.stack([[-Q, -A, Q], [-Q, A, Q]])
+        coef = dth / self.area[1:ns, None]
+        C[1:] += coef * F[:, :, 1:]
+        C[:2] -= coef * F[:, :, :-1]
 
-        # radial faces between rings i and i+1, i = 0 .. ns-1
-        alpha_r = self.s_face * (w_r + w_r**3 * sl.d**2) / ds
-        q_r = sl.d * w_r**3 * sl.v / self.s_face / (4 * dth)
-        lo, hi = idx[:-1], idx[1:]
-        pairs = [
-            (lo, -alpha_r),
-            (hi, alpha_r),
-            (np.roll(lo, -1, axis=1), q_r),
-            (np.roll(lo, 1, axis=1), -q_r),
-            (np.roll(hi, -1, axis=1), q_r),
-            (np.roll(hi, 1, axis=1), -q_r),
-        ]
-        coef_lo = dth / self.area[:ns, None]
-        coef_hi = -dth / self.area[1:, None]
-        for cl, dval in pairs:
-            put(lo.ravel(), cl.ravel(), (coef_lo * dval).ravel())
-            put(hi.ravel(), cl.ravel(), (coef_hi * dval).ravel())
-
-        # angular faces between angles j and j+1 on rings 1 .. ns-1
-        alpha_a = (w_a + w_a**3 * sl.c**2 / self.s_node**2) / (self.s_node * dth)
-        p_a = (sl.c / self.s_node) * w_a**3 * sl.a / (4 * ds)
-        own = idx[1:ns]
-        nxt = np.roll(own, -1, axis=1)
-        up = idx[2:]
-        dn = idx[: ns - 1]
-        pairs = [
-            (own, -alpha_a),
-            (nxt, alpha_a),
-            (up, p_a),
-            (dn, -p_a),
-            (np.roll(up, -1, axis=1), p_a),
-            (np.roll(dn, -1, axis=1), -p_a),
-        ]
+        # angular face j (angles j, j + 1) on ring i: G[1 + di, k] is its flux
+        # derivative against node (i + di, j + k); angle j adds it, j + 1 subtracts it
+        A = (w_a + w_a**3 * (sl.c / self.s_node) ** 2) / (self.s_node * dth)
+        P = (sl.c / self.s_node) * w_a**3 * sl.a / (4 * ds)
+        G = np.stack([[-P, -P], [-A, A], [P, P]])
         coef = ds / self.area[1:ns, None]
-        for cl, dval in pairs:
-            put(own.ravel(), cl.ravel(), (coef * dval).ravel())
-            put(nxt.ravel(), cl.ravel(), (-coef * dval).ravel())
+        C[:, 1:] += coef * G
+        C[:, :2] -= coef * np.roll(G, 1, axis=-1)
 
         # source terms at interior nodes
-        dtheta_mid = np.asarray(self.H.dtheta(M[1:ns], self._s_col, self._th_row), dtype=float)
-        put(own.ravel(), own.ravel(), (-_M * dtheta_mid).ravel())
-        put(own.ravel(), up.ravel(), (_M * w_n**3 * sl.u_s / (2 * ds)).ravel())
-        put(own.ravel(), dn.ravel(), (-_M * w_n**3 * sl.u_s / (2 * ds)).ravel())
-        put(own.ravel(), nxt.ravel(), (_M * w_n**3 * sl.u_t / self.s_node**2 / (2 * dth)).ravel())
-        put(own.ravel(), np.roll(own, 1, axis=1).ravel(), (-_M * w_n**3 * sl.u_t / self.s_node**2 / (2 * dth)).ravel())
+        C[1, 1] -= _M * np.asarray(self.H.dtheta(M[1:ns], self._s_col, self._th_row), dtype=float)
+        src_s = _M * w_n**3 * sl.u_s / (2 * ds)
+        src_t = _M * w_n**3 * (sl.u_t / self.s_node) / self.s_node / (2 * dth)
+        C[2, 1] += src_s
+        C[0, 1] -= src_s
+        C[1, 2] += src_t
+        C[1, 0] -= src_t
 
-        # pole row: zeroth order term plus the tilt coupling to ring 1
-        zero = np.zeros(1, dtype=int)
-        put(zero, zero, np.array([-_M * float(self.H.dtheta(M[0, 0], 0.0, 0.0))]))
+        # pole row: the face-0 fluxes, the zeroth order term and the tilt
+        # coupling to ring 1
+        F0 = F[:, :, 0] * (dth / self.area[0])
+        pole = F0[0].sum() - _M * float(self.H.dtheta(M[0, 0], 0.0, 0.0))
         th = self.grid.theta_nodes
-        dw_ring = _M * w_p**3 * (sl.pa * np.cos(th) + sl.pb * np.sin(th)) * 2.0 / (nth * ds)
-        put(np.zeros(nth, dtype=int), idx[1], dw_ring)
+        ring1 = F0[1, 1] + np.roll(F0[1, 2], 1) + np.roll(F0[1, 0], -1)
+        ring1 += _M * w_p**3 * (sl.pa * np.cos(th) + sl.pb * np.sin(th)) * 2.0 / (nth * ds)
 
-        rows = np.concatenate(rows)
-        cols = np.concatenate(cols)
-        vals = np.concatenate(vals)
+        vals = np.concatenate([C.ravel(), [pole], ring1])[self._keep]
         n = self.n_unknowns
-        return coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
+        return coo_matrix((vals, (self._rows, self._cols)), shape=(n, n)).tocsr()
 
 
 def assemble_residual(u, H, boundary=0.0):
@@ -543,20 +534,7 @@ class SolveReport:
     message: str = ""
 
     def as_dict(self):
-        return {
-            "iterations": self.iterations,
-            "residual_norm": self.residual_norm,
-            "max_w": self.max_w,
-            "min_u": self.min_u,
-            "max_u": self.max_u,
-            "converged": self.converged,
-            "damping_events": self.damping_events,
-            "n_s": self.n_s,
-            "n_theta": self.n_theta,
-            "s_max": self.s_max,
-            "tol": self.tol,
-            "message": self.message,
-        }
+        return asdict(self)
 
 
 def bump_field(grid, amp=0.2, width=1.0):
@@ -662,10 +640,11 @@ def solve_dirichlet(
     if not converged and not message:
         message = "max iterations reached"
     M = prob.expand(x)
+    _, _, w_n, w_p = _Slopes(grid, M).tilts()
     report = SolveReport(
         iterations=iterations,
         residual_norm=rn,
-        max_w=1.0 / math.sqrt(1.0 - _Slopes(grid, M).node_max_sq),
+        max_w=max(float(w_n.max()), w_p),
         min_u=float(M.min()),
         max_u=float(M.max()),
         converged=bool(converged),
@@ -921,9 +900,7 @@ class ExhaustionReport:
 def _psi_records(fld, lam):
     g = fld.grid
     M = fld.matrix()
-    slopes = _Slopes(g, M)
-    w = 1.0 / np.sqrt(1.0 - slopes.gam_n)
-    wp = 1.0 / math.sqrt(1.0 - slopes.pole_sq)
+    _, _, w, wp = _Slopes(g, M).tilts()
     out = {}
     if abs(lam) * np.abs(M).max() > 700.0:
         raise DomainError("psi = w exp(+-lam u) overflows a float at lam = %g" % lam)
@@ -975,24 +952,24 @@ def exhaustion(
     n_list = [int(round(r / ds)) for r in radii]
     if any(n < 3 for n in n_list):
         raise UsageError("radial spacing too coarse for the smallest ball")
-    actual = [n * ds for n in n_list]
+    grids = [PolarGrid(n, n_theta, n * ds) for n in n_list]  # every range check before any solve
     i0 = min(int(round(s0 / ds)), n_list[0])
     fields = []
     reports = []
     psi = []
     failure = None
     prev = None
-    for j, (r, n_s) in enumerate(zip(actual, n_list)):
+    for j, grid in enumerate(grids):
+        n_s = grid.n_s
         guess = None
         if prev is not None:
-            grid = PolarGrid(n_s, n_theta, r)
             Mg = np.zeros((n_s + 1, n_theta))
             Mp = prev.matrix()
             rows = min(Mp.shape[0] - 1, n_s)  # drop the old boundary row
             Mg[:rows] = Mp[:rows]
             guess = ScalarField.from_matrix(grid, Mg)
         fld, rep = solve_dirichlet(
-            H, r, n_s=n_s, n_theta=n_theta, u0=guess, tol=tol,
+            H, grid.s_max, n_s=n_s, n_theta=n_theta, u0=guess, tol=tol,
             max_iters=max_iters, precheck=False,
         )
         reports.append(rep)
@@ -1007,7 +984,7 @@ def exhaustion(
         Ma, Mb = fa.matrix(), fb.matrix()
         deltas.append(float(np.abs(Mb[: i0 + 1] - Ma[: i0 + 1]).max()))
     return ExhaustionReport(
-        radii=actual[: len(reports)],
+        radii=[g.s_max for g in grids[: len(reports)]],
         reports=reports,
         compact_deltas=deltas,
         tilt_series=[r.max_w for r in reports if r.converged],
@@ -1025,11 +1002,7 @@ class UniquenessReport:
     reports: list
 
     def as_dict(self):
-        return {
-            "max_pairwise": self.max_pairwise,
-            "converged": list(self.converged),
-            "reports": [r.as_dict() for r in self.reports],
-        }
+        return asdict(self)
 
 
 def uniqueness_probe(H, s_max, guesses, n_s=48, n_theta=96, tol=1e-10, boundary=0.0):

@@ -65,6 +65,13 @@ def test_solve_usage_errors(tmp_path):
         ["identities", "--step", "-1"],
         ["identities", "--tau-step", "0"],
         ["check-h", "--H", "const:1", "--lL", "0.8,abc"],
+        ["willmore", "--surface", "saddle", "--R", "1e300"],
+        ["willmore", "--surface", "hyperboloid:m=3", "--R", "1e120"],
+        ["solve", "--H", "rational:0.1", "--smax", "800", "--grid", "16x32"],
+        ["solve", "--H", "rational:0.1", "--smax", "1e300", "--grid", "16x32"],
+        ["exhaustion", "--H", "rational:0.1", "--radii", "1,1e300"],
+        ["identities", "--grid", "4x8"],
+        ["identities", "--grid", "8x16"],
     ],
 )
 def test_non_finite_or_degenerate_values_exit_64(tmp_path, argv):
@@ -240,6 +247,8 @@ def test_identities_report(tmp_path):
     assert rep["min_order"] >= 1.9
     suites = {e["suite"] for e in rep["entries"]}
     assert suites == {"laplacian_w", "hessian_tau", "poincare"}
+    # n_s = 10 is the coarsest grid in the asymptotic range
+    assert main(["identities", "--grid", "10x16", "--outdir", d]) == 0
 
 
 def test_threads_env_fallback(tmp_path, monkeypatch):

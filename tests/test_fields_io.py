@@ -29,7 +29,7 @@ def test_polar_grid_validation():
         PolarGrid(8, 15, 2.0)
     with pytest.raises(UsageError):
         PolarGrid(8, 16, -1.0)
-    for s_max in (np.inf, np.nan):
+    for s_max in (np.inf, np.nan, 711.0):
         with pytest.raises(UsageError):
             PolarGrid(8, 16, s_max)
 

@@ -185,12 +185,17 @@ def test_residual_margin_not_fatal():
 
 def test_jacobian_matches_finite_differences(H01):
     g = PolarGrid(8, 16, 2.0)
-    prob = sv.DiscreteProblem(g, H01, 0.0)
     rng = np.random.default_rng(7)
-    for _ in range(3):
+    # three draws with zero Dirichlet data, then one with 0.02 cos 3 theta
+    for boundary in (0.0, 0.0, 0.0, lambda th: 0.02 * np.cos(3 * th)):
+        prob = sv.DiscreteProblem(g, H01, boundary)
         x = rng.uniform(-0.04, 0.04, prob.n_unknowns)
         assert prob.slope_sq(x) < 0.6
-        J = prob.jacobian(x).toarray()
+        J = prob.jacobian(x)
+        # the 9-point stencil: ring 1's three pole couplings merge, the last
+        # ring's three boundary couplings drop out, and the pole row adds 1 + n_theta
+        assert J.nnz == 9 * (g.n_s - 1) * g.n_theta - 4 * g.n_theta + 1
+        J = J.toarray()
         Jfd = np.empty_like(J)
         h = 1e-6
         for k in range(prob.n_unknowns):
