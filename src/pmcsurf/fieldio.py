@@ -45,20 +45,30 @@ def write_radial_field(fld, path):
             fh.write((_FMT + "\n") % v)
 
 
-def read_radial_field(path):
+def _read_field(path, keys):
+    """Header "key value" pairs (keys from keys, in file order), then the
+    value block, one number a line, through numpy's parser."""
     _require(path)
-    header = {}
-    values = []
+    header = []
     with open(path) as fh, _casts(path):
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
+        while True:
+            pos = fh.tell()
+            line = fh.readline()
             parts = line.split()
-            if len(parts) == 2 and parts[0] in ("m", "n_s", "n_th", "s_max"):
-                header[parts[0]] = parts[1]
-            else:
-                values.append(float(parts[0]))
+            if line and (not parts or parts[0].startswith("#")):
+                continue
+            if len(parts) != 2 or parts[0] not in keys:
+                break
+            header.append(parts)
+        fh.seek(pos)
+        # an empty block would make loadtxt warn; the callers count values
+        values = np.loadtxt(fh, comments="#", ndmin=1) if line else np.empty(0)
+    return header, values
+
+
+def read_radial_field(path):
+    pairs, values = _read_field(path, ("m", "n_s", "n_th", "s_max"))
+    header = dict(pairs)
     missing = {"m", "n_s", "n_th", "s_max"} - set(header)
     if missing:
         raise UsageError("radial field header missing %s" % sorted(missing))
@@ -66,7 +76,6 @@ def read_radial_field(path):
         m = int(header["m"])
         shape = int(header["n_s"]), int(header["n_th"]), float(header["s_max"])
     grid = PolarGrid(*shape)
-    values = np.asarray(values, dtype=float)
     if m != 2:
         raise UsageError("radial field files are two dimensional (m = 2)")
     return ScalarField.from_flat(grid, values)
@@ -84,27 +93,14 @@ def write_cartesian_field(fld, path):
 
 
 def read_cartesian_field(path):
-    _require(path)
-    m = None
-    rs, ns, values = [], [], []
-    with open(path) as fh, _casts(path):
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            if len(parts) == 2 and parts[0] == "m":
-                m = int(parts[1])
-            elif len(parts) == 2 and parts[0] == "R":
-                rs.append(float(parts[1]))
-            elif len(parts) == 2 and parts[0] == "n":
-                ns.append(int(parts[1]))
-            else:
-                values.append(float(parts[0]))
-    if m is None or len(rs) != m or len(ns) != m:
+    pairs, values = _read_field(path, ("m", "R", "n"))
+    with _casts(path):
+        ms = [int(v) for k, v in pairs if k == "m"]
+        rs = [float(v) for k, v in pairs if k == "R"]
+        ns = [int(v) for k, v in pairs if k == "n"]
+    if not ms or len(rs) != ms[-1] or len(ns) != ms[-1]:
         raise UsageError("cartesian field header incomplete")
     grid = BoxGrid(tuple(rs), tuple(ns))
-    values = np.asarray(values, dtype=float)
     expected = int(np.prod(grid.counts))
     if values.shape != (expected,):
         raise UsageError("value count does not match the grid")

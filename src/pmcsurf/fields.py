@@ -5,7 +5,6 @@ import sys
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import RectBivariateSpline
 
 from .errors import OutOfDomainError, UsageError
 
@@ -115,6 +114,8 @@ class ScalarField:
         th = g.theta_nodes
         th_ext = np.concatenate([th[-pad:] - 2 * np.pi, th, th[:pad] + 2 * np.pi])
         mat_ext = np.concatenate([mat[:, -pad:], mat, mat[:, :pad]], axis=1)
+        from scipy.interpolate import RectBivariateSpline  # slow to import, so only here
+
         spl = RectBivariateSpline(g.s_nodes, th_ext, mat_ext, kx=3, ky=3, s=0)
 
         def ev(s, theta):

@@ -8,11 +8,11 @@ discretized on a geodesic polar grid. The equation is the divergence form
 with Dirichlet data on the boundary circle. The scheme is a finite volume
 balance with tilt factors evaluated on cell faces, solved by damped Newton
 with an analytic Jacobian: a 9-point stencil on the interior nodes plus the
-pole row, filled into a sparse index layout built once per problem. A
-radial shooting integrator provides an independent oracle for rotationally
-symmetric data, and a residual check in the conformal disk chart
-cross-validates converged solutions against a different form of the same
-operator.
+pole row, filled into a sparse index layout built once per problem.
+Chebyshev collocation of the radial boundary value problem, solved by dense
+Newton, provides an independent oracle for rotationally symmetric data, and
+a residual check in the conformal disk chart cross-validates converged
+solutions against a different form of the same operator.
 """
 
 import math
@@ -20,12 +20,10 @@ import warnings
 from dataclasses import asdict, dataclass
 
 import numpy as np
-from scipy.interpolate import CubicSpline, RectBivariateSpline
-from scipy.optimize import brentq
 from scipy.sparse import coo_matrix
 from scipy.sparse.linalg import spsolve
 
-from .errors import BracketError, DomainError, NotSpacelikeError, UsageError
+from .errors import BracketError, ConvergenceError, DomainError, NotSpacelikeError, UsageError
 from .fields import (
     PolarGrid, ScalarField, diff_s, diff_theta, gradient_norm_sq, polar_gradient, polar_jets,
     pole_gradient,
@@ -149,6 +147,8 @@ def table_curvature(path):
         raise UsageError("table grids must be strictly increasing")
     if vals.min() <= 0:
         raise UsageError("curvature table contains non-positive values")
+    from scipy.interpolate import RectBivariateSpline  # slow to import, so only here
+
     spl = RectBivariateSpline(t_grid, s_grid, vals, kx=3, ky=3, s=0)
     t_lo, t_hi = float(t_grid[0]), float(t_grid[-1])
     s_lo, s_hi = float(s_grid[0]), float(s_grid[-1])
@@ -382,7 +382,7 @@ class DiscreteProblem:
         self.s_node = np.sinh(s[1:ns])[:, None]
         area = np.empty(ns)
         area[0] = 2 * np.pi * (np.cosh(ds / 2) - 1.0)
-        area[1:] = 2 * np.sinh(s[1:ns]) * np.sinh(ds / 2) * dth
+        area[1:] = np.sinh(s[1:ns]) * np.sinh(ds / 2) * dth * 2  # the factor 2 last: no overflow
         self.area = area
         self._s_col = s[1:ns][:, None]
         self._th_row = grid.theta_nodes[None, :]
@@ -455,14 +455,16 @@ class DiscreteProblem:
         w_r, w_a, w_n, w_p = sl.tilts()
         C = np.zeros((3, 3, ns - 1, nth))
 
-        # radial face i (rings i, i + 1): F[k, 1 + dj] is its flux derivative
-        # against node (i + k, j + dj); ring i adds it, ring i + 1 subtracts it
-        A = self.s_face * (w_r + w_r**3 * sl.d**2) / ds
-        Q = sl.d * w_r**3 * sl.v / self.s_face / (4 * dth)
+        # radial face i (rings i, i + 1): s_face[i] F[k, 1 + dj] is its flux
+        # derivative against node (i + k, j + dj); ring i adds it, ring i + 1
+        # subtracts it. s_face enters as its ratio to the cell area, which
+        # stays finite where s_face alone nearly overflows
+        A = (w_r + w_r**3 * sl.d**2) / ds
+        Q = sl.d * w_r**3 * sl.v / self.s_face / self.s_face / (4 * dth)
         F = np.stack([[-Q, -A, Q], [-Q, A, Q]])
-        coef = dth / self.area[1:ns, None]
-        C[1:] += coef * F[:, :, 1:]
-        C[:2] -= coef * F[:, :, :-1]
+        area = self.area[1:ns, None]
+        C[1:] += dth * (self.s_face[1:] / area) * F[:, :, 1:]
+        C[:2] -= dth * (self.s_face[:-1] / area) * F[:, :, :-1]
 
         # angular face j (angles j, j + 1) on ring i: G[1 + di, k] is its flux
         # derivative against node (i + di, j + k); angle j adds it, j + 1 subtracts it
@@ -484,7 +486,7 @@ class DiscreteProblem:
 
         # pole row: the face-0 fluxes, the zeroth order term and the tilt
         # coupling to ring 1
-        F0 = F[:, :, 0] * (dth / self.area[0])
+        F0 = F[:, :, 0] * (dth * self.s_face[0, 0] / self.area[0])
         pole = F0[0].sum() - _M * float(self.H.dtheta(M[0, 0], 0.0, 0.0))
         th = self.grid.theta_nodes
         ring1 = F0[1, 1] + np.roll(F0[1, 2], 1) + np.roll(F0[1, 0], -1)
@@ -659,107 +661,106 @@ def solve_dirichlet(
 
 
 # ---------------------------------------------------------------------------
-# radial shooting oracle
+# radial collocation oracle
 
 
 @dataclass
 class RadialProfile:
+    """u and du = u' on uniform nodes s of spacing step, sampled from interp."""
+
     s: np.ndarray
     u: np.ndarray
     du: np.ndarray
     u0: float
     step: float
     error_estimate: float
+    _cheb = None  # not a field: (b, points, u - b) of the polynomial, set by the oracle
 
     def interp(self, s_query):
-        return CubicSpline(self.s, self.u)(np.asarray(s_query, dtype=float))
+        b, points, v = self._cheb
+        return b + _barycentric(points, v, s_query)
 
 
-class _ConeHit(Exception):
-    def __init__(self, sign, s):
-        self.sign = sign
-        self.s = s
+def _barycentric(points, values, q):
+    """The polynomial through values at Chebyshev points, evaluated at q
+    (Berrut & Trefethen, SIAM Rev. 46 (2004))."""
+    wt = (-1.0) ** np.arange(points.size)
+    wt[[0, -1]] /= 2.0
+    q = np.asarray(q, dtype=float)
+    parts = []
+    for qb in np.array_split(q.ravel(), 1 + q.size * points.size // 2**20):  # 8 MB blocks
+        d = qb[:, None] - points
+        with np.errstate(divide="ignore", invalid="ignore"):
+            k = wt / d
+            r = (k @ values) / k.sum(axis=1)
+        hit = np.isnan(r) & np.isfinite(qb)  # a query on a point: inf / inf
+        r[hit] = values[np.argmin(np.abs(d[hit]), axis=1)]
+        parts.append(r)
+    return np.concatenate(parts).reshape(q.shape)
 
 
-def _integrate_radial(H, u0, s_max, n, m, store=False):
-    """Fixed-step RK4 on the radial profile equation.
-
-    u'' = [m(e^u Hbar - w) - (m-1) w coth(s) u'] / w^3 with u'(0) = 0.
-    The first node comes from the even Taylor expansion at the pole.
-    """
-    h = s_max / n
-    kappa = math.exp(u0) * float(H.hbar(u0, 0.0, 0.0)) - 1.0
-
-    def rhs(s, u, p):
-        g = 1.0 - p * p
-        if g <= 1e-12:
-            raise _ConeHit(1.0 if p > 0 else -1.0, s)
-        w = 1.0 / math.sqrt(g)
-        hv = float(H.hbar(u, s, 0.0))
-        return p, (m * (math.exp(u) * hv - w) - (m - 1) * w * p / math.tanh(s)) / w**3
-
-    u = u0 + 0.5 * h * h * kappa
-    p = h * kappa
-    if store:
-        us = np.empty(n + 1)
-        ps = np.empty(n + 1)
-        us[0], ps[0] = u0, 0.0
-        us[1], ps[1] = u, p
-    s = h
-    for k in range(1, n):
-        k1u, k1p = rhs(s, u, p)
-        k2u, k2p = rhs(s + h / 2, u + h / 2 * k1u, p + h / 2 * k1p)
-        k3u, k3p = rhs(s + h / 2, u + h / 2 * k2u, p + h / 2 * k2p)
-        k4u, k4p = rhs(s + h, u + h * k3u, p + h * k3p)
-        u += h / 6 * (k1u + 2 * k2u + 2 * k3u + k4u)
-        p += h / 6 * (k1p + 2 * k2p + 2 * k3p + k4p)
-        s += h
-        if store:
-            us[k + 1], ps[k + 1] = u, p
-    if store:
-        return us, ps
-    return u
+def _collocate(H, s_max, n, b, v0, m):
+    """Damped Newton for v = u - b at the points s_max cos(j pi / n) from v0(points);
+    D differentiates (Trefethen, Spectral Methods in MATLAB, SIAM 2000, ch. 6).
+    F = w^3 u'' + (m - 1) w coth(s) u' - m (Theta(u, |s|) - w) at the inner points,
+    v = 0 at the ends. Steps are damped until max |u'| <= 1 - 1e-3; Newton
+    stops within a few times the step z that rounding in F alone causes."""
+    j = np.arange(n + 1)
+    x, c = np.cos(np.pi * j / n), (-1.0) ** j * np.where(j % n == 0, 2.0, 1.0)
+    D = np.outer(c, 1.0 / c) / (x[:, None] - x + np.eye(n + 1))
+    s, D = s_max * x, (D - np.diag(D.sum(axis=1))) / s_max
+    D2 = D @ D
+    v, inner = v0(s), slice(1, n)
+    s_in, coth = np.abs(s[inner]), 1.0 / np.tanh(s[inner])
+    aD, aD2 = np.abs(D[inner]), np.abs(D2[inner])  # for the rounding floor of F
+    for _ in range(50):
+        p, q, u = D @ v, (D2 @ v)[inner], b + v[inner]
+        w = 1.0 / np.sqrt(1.0 - p[inner] ** 2)
+        th = np.asarray(H.theta(u, s_in), dtype=float)
+        F = w**3 * q + (m - 1) * w * coth * p[inner] - m * (th - w)
+        floor = np.finfo(float).eps * (m * (np.abs(th) + w) + w**3 * (aD2 @ np.abs(v))
+                                       + (m - 1) * w * np.abs(coth) * (aD @ np.abs(v)))
+        dF_dp = (3 * p[inner] * w**2 * q + (m - 1) * coth + m * p[inner]) * w**3
+        J = dF_dp[:, None] * D[inner, inner] + (w**3)[:, None] * D2[inner, inner]
+        J[np.diag_indices(n - 1)] -= m * np.asarray(H.dtheta(u, s_in), dtype=float)
+        step, z = np.linalg.solve(J, np.stack([-F, floor], axis=1)).T
+        if not np.all(np.isfinite(step)):
+            raise ConvergenceError("non-finite collocation Newton step")
+        alpha, dp = 1.0, D[:, inner] @ step
+        while np.abs(p + alpha * dp).max() > 1.0 - 1e-3:
+            alpha *= 0.5
+            if alpha < 1e-8:
+                raise NotSpacelikeError("collocation iterate reaches the light cone")
+        v[inner] += alpha * step
+        if alpha == 1.0 and np.abs(step).max() <= 8.0 * np.abs(z).max():
+            return s, D, v
+    raise ConvergenceError("collocation Newton above its round-off floor after 50 steps")
 
 
 def radial_ode_oracle(H, s_max, step=None, boundary=0.0, bracket=None, m=2):
-    """Radial profile by shooting on the pole value.
-
-    Independent of the PDE grid: adjusts u(0) by bracketed root finding so
-    the RK4-integrated profile hits the boundary value at s_max. The error
-    estimate is the max-norm change under step halving; the returned arrays
-    are from the halved step.
-    """
+    """Radial profile by Chebyshev collocation, independent of the PDE grid:
+    w^3 u'' + (m - 1) w coth(s) u' = m (Theta(u, s) - w), u(s_max) = boundary, on
+    the even extension to [-s_max, s_max] (Trefethen, ch. 13-14) at odd degrees
+    n <= 1025 and 2n - 1, so no point sits on the pole. error_estimate is their
+    max gap at the degree-n points; the arrays sample the fine polynomial on 2k + 1
+    uniform nodes, k = s_max / step (default 4096). bracket bounds u(0)."""
     if not H.radial:
         raise UsageError("the radial oracle needs rotationally symmetric data")
-    s_max = float(s_max)
-    if step is None:
-        step = s_max / 4096
-    n = max(16, int(round(s_max / step)))
-
-    def shoot(u0):
-        try:
-            return _integrate_radial(H, u0, s_max, n, m) - boundary
-        except _ConeHit as hit:
-            return hit.sign * (1e6 + (s_max - hit.s))
-
-    if bracket is None:
-        lo, hi = boundary - 1.25, boundary + 1.25
-    else:
-        lo, hi = float(bracket[0]), float(bracket[1])
-    flo, fhi = shoot(lo), shoot(hi)
-    widen = 0
-    while flo * fhi > 0 and widen < 2:
-        lo, hi = lo - (hi - lo) / 2, hi + (hi - lo) / 2
-        flo, fhi = shoot(lo), shoot(hi)
-        widen += 1
-    if flo * fhi > 0:
-        raise BracketError("no sign change for the shooting parameter in [%g, %g]" % (lo, hi))
-    u0 = brentq(shoot, lo, hi, xtol=1e-13, rtol=8.9e-16)
-    uc, _ = _integrate_radial(H, u0, s_max, n, m, store=True)
-    uf, pf = _integrate_radial(H, u0, s_max, 2 * n, m, store=True)
-    err = float(np.abs(uf[::2] - uc).max())
-    s_nodes = np.linspace(0.0, s_max, 2 * n + 1)
-    return RadialProfile(s_nodes, uf, pf, u0, s_max / (2 * n), err)
+    s_max, b = float(s_max), float(boundary)
+    if not 0 < s_max < math.inf:
+        raise UsageError("s_max must be positive and finite")
+    n = min(1025, 2 * int(12 * s_max) + 17)  # odd; the cap bounds the dense matrices
+    sc, _, vc = _collocate(H, s_max, n, b, np.zeros_like, m)
+    sf, Df, vf = _collocate(H, s_max, 2 * n - 1, b, lambda s: _barycentric(sc, vc, s), m)
+    k = 4096 if step is None else max(16, int(round(s_max / step)))
+    s = np.linspace(0.0, s_max, 2 * k + 1)
+    u = b + _barycentric(sf, vf, s)
+    if bracket is not None and not float(bracket[0]) <= u[0] <= float(bracket[1]):
+        raise BracketError("pole value %.6g outside the bracket [%g, %g]" % (u[0], *bracket))
+    err = float(np.abs(_barycentric(sf, vf, sc) - vc).max())
+    prof = RadialProfile(s, u, _barycentric(sf, Df @ vf, s), float(u[0]), s_max / (2 * k), err)
+    prof._cheb = (b, sf, vf)
+    return prof
 
 
 # ---------------------------------------------------------------------------

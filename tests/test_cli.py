@@ -97,6 +97,14 @@ def test_malformed_field_files_exit_64(tmp_path):
     assert main(["willmore", "--surface", "field:%s" % box, "--outdir", str(tmp_path)]) == 64
 
 
+@pytest.mark.filterwarnings("error")
+def test_solve_at_the_largest_radius_is_warning_free(tmp_path):
+    # sinh(s) near float max over ds < 1 overflowed the Jacobian's face coefficients
+    argv = ["solve", "--H", "rational:0.1", "--smax", "710.47", "--grid", "2000x8"]
+    assert main(argv + ["--outdir", str(tmp_path)]) == 0
+    assert _read_json(tmp_path / "solve_report.json")["iterations"] == 3
+
+
 def test_missing_inputs_exit_66(tmp_path):
     assert main(["solve", "--H", "table:%s/nope.csv" % tmp_path, "--smax", "2"]) == 66
     assert main(["solve", "--config", str(tmp_path / "nope.conf")]) == 66
@@ -256,6 +264,14 @@ def test_threads_env_fallback(tmp_path, monkeypatch):
     d = str(tmp_path)
     rc = main(["willmore", "--surface", "hyperboloid:l=1", "--R", "10", "--outdir", d])
     assert rc == 0
+
+
+def test_cli_import_leaves_interpolate_and_optimize_unloaded():
+    code = ("import sys, pmcsurf.cli; print(sorted(m for m in sys.modules"
+            " if m.startswith(('scipy.interpolate', 'scipy.optimize'))))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_console_entry_point(tmp_path):

@@ -1,5 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from pmcsurf import fieldio
 from pmcsurf.errors import OutOfDomainError, UsageError
@@ -120,6 +124,59 @@ def test_malformed_field_files_raise_usage_errors(tmp_path):
             p.write_text(text)
             with pytest.raises(UsageError, match="malformed"):
                 reader(p)
+
+
+_KEYS = ("m", "n_s", "n_th", "s_max", "R", "n")
+_NUMBER = st.one_of(
+    st.integers(-2, 63).map(str),
+    st.floats(-1e3, 1e3).map(repr),
+    st.sampled_from(["nan", "inf", "-inf", "1e999", "0.0"]),
+)
+_JUNK = st.sampled_from(["abc", "1 2", "1,2", "--1", "0x1f", "#", "# 1", "\t", "e", "\u00e9"])
+_LINE = st.one_of(
+    st.tuples(st.sampled_from(_KEYS), _NUMBER).map(" ".join),
+    _NUMBER,
+    _JUNK,
+    st.sampled_from(["", "   ", "# comment"]),
+)
+
+
+@st.composite
+def _field_file(draw):
+    """A well-formed radial or box file, or one with stray lines spliced
+    in, or a free mix of header keys, numbers, junk and comment lines."""
+    kind = draw(st.sampled_from(["radial", "box", "mix"]))
+    if kind == "radial":
+        n_s, n_th = draw(st.integers(2, 4)), draw(st.sampled_from([8, 10]))
+        lines = ["m 2", "n_s %d" % n_s, "n_th %d" % n_th, "s_max 1.5"]
+        lines += ["%r" % v for v in draw(st.lists(st.floats(-1, 1), min_size=n_s * n_th + 1,
+                                                  max_size=n_s * n_th + 1))]
+    elif kind == "box":
+        m, n = draw(st.integers(1, 2)), draw(st.integers(4, 6))
+        lines = ["m %d" % m] + ["R 1.5", "n %d" % n] * m
+        lines += ["%r" % v for v in draw(st.lists(st.floats(-1, 1), min_size=n**m, max_size=n**m))]
+    else:
+        return "\n".join(draw(st.lists(_LINE, max_size=50)))
+    for _ in range(draw(st.integers(0, 3))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(_LINE))
+    return "\n".join(lines)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(text=_field_file())
+@example(text="m 2\nn_s 4\nn_th 8\ns_max 1\n# no values\n")
+@example(text="m 1\nR 1\nn 4\n")
+def test_field_readers_return_a_field_or_raise_usage_errors(tmp_path, text):
+    p = tmp_path / "fuzz.txt"
+    p.write_text(text, encoding="utf-8")
+    for reader in (fieldio.read_radial_field, fieldio.read_cartesian_field):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", UserWarning)  # numpy's empty-input warning
+            try:
+                reader(p)
+            except UsageError:
+                pass
 
 
 def test_box_grid_and_cartesian_round_trip(tmp_path):

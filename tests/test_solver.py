@@ -310,9 +310,47 @@ def test_oracle_bracket_control():
     # an explicit bracket straddling the root is honored
     prof = sv.radial_ode_oracle(sv.rational_curvature(0.0), 2.0, bracket=(-1.0, 1.0))
     assert abs(prof.u0) < 1e-10
-    # one placed far from the root stays single-signed through both widenings
+    # one that excludes the converged pole value is an error
     with pytest.raises(BracketError):
         sv.radial_ode_oracle(sv.constant_curvature(1.0), 2.0, bracket=(3.0, 3.5))
+
+
+@pytest.mark.parametrize(
+    "s_max, boundary, u0, rk4_estimate",
+    [
+        # pole values and error estimates of the earlier RK4 shooting oracle
+        (3.0, 0.0, -0.057446520989872574, 3.8e-13),
+        (6.0, 0.0, -0.05830070966232518, 1.1e-10),
+        (3.5, 0.1, -0.052142577637773364, 1.0e-12),
+    ],
+)
+def test_oracle_pole_values(H01, s_max, boundary, u0, rk4_estimate):
+    prof = sv.radial_ode_oracle(H01, s_max, boundary=boundary)
+    assert abs(prof.u0 - u0) < 10 * rk4_estimate
+    assert prof.u0 == prof.u[0] and abs(prof.interp(0.0) - prof.u0) < 1e-16
+    assert prof.u[-1] == boundary
+    assert prof.step == s_max / 8192 and prof.s.shape == prof.u.shape == prof.du.shape == (8193,)
+
+
+def test_oracle_error_estimate_stays_small_on_large_balls(H01):
+    # RK4 shooting reported 4.3e-8 here
+    assert sv.radial_ode_oracle(H01, 10.0).error_estimate < 1e-10
+
+
+def test_oracle_error_estimate_bounds_the_exact_error():
+    l0 = 1.25
+    prof = sv.radial_ode_oracle(sv.constant_curvature(1 / l0), 2.0, boundary=np.log(l0))
+    s = np.linspace(0.0, 2.0, 77)
+    err = max(np.abs(prof.u - np.log(l0)).max(), np.abs(prof.interp(s) - np.log(l0)).max())
+    assert err <= prof.error_estimate < 1e-12
+
+
+def test_oracle_interp_matches_the_samples_and_derivative(H01, oracle3):
+    assert np.abs(oracle3.interp(oracle3.s) - oracle3.u).max() < 1e-15
+    assert np.isnan(oracle3.interp(np.nan))
+    # centered differences of the samples against du, to O(step^2)
+    fd = (oracle3.u[2:] - oracle3.u[:-2]) / (2 * oracle3.step)
+    assert np.abs(fd - oracle3.du[1:-1]).max() < 1e-8
 
 
 def test_oracle_requires_radial_data():
@@ -320,6 +358,9 @@ def test_oracle_requires_radial_data():
                                radial=False)
     with pytest.raises(UsageError):
         sv.radial_ode_oracle(H, 2.0)
+    for s_max in (0.0, -1.0, np.inf, np.nan):
+        with pytest.raises(UsageError):
+            sv.radial_ode_oracle(sv.rational_curvature(0.1), s_max)
 
 
 def test_ode_pde_gap_second_order(H01, oracle3, solves3):
