@@ -1,5 +1,12 @@
 """Command line front end: solves, exhaustion runs, and verification reports.
 
+Every parameter is declared once, as a flag of its subcommand in
+`make_parser`, with its cast and its default. `--config FILE` reads a
+sectioned `key = value` file; the subcommand's section enters argv as
+`--key=value` tokens right after the subcommand, so one parse applies
+"flags beat the file, the file beats the default". Flags are never
+abbreviated, so a config key must name its flag exactly.
+
 Exit codes follow one contract across subcommands: 0 success, 2 a
 computation failed to converge or broke down, 3 an output violates a
 bound it is guaranteed to satisfy (which flags a kernel bug, not bad
@@ -16,7 +23,8 @@ import numpy as np
 
 from . import cartesian, fieldio, integrals, radial, solver
 from .errors import BracketError, ConvergenceError, DomainError, UsageError
-from .util import default_threads, dump_json
+from .fields import MAX_NODES, PolarGrid
+from .util import dump_json
 
 EXIT_OK = 0
 EXIT_COMPUTE = 2
@@ -26,7 +34,7 @@ EXIT_NOINPUT = 66
 
 
 # ---------------------------------------------------------------------------
-# config plumbing
+# config files and flag casts
 
 
 def _load_config(path):
@@ -40,67 +48,62 @@ def _load_config(path):
     try:
         with open(path) as fh:
             cp.read_file(fh, source=path)
-    except configparser.Error as exc:
+    except (OSError, UnicodeDecodeError, configparser.Error) as exc:
         raise UsageError("config file %s: %s" % (path, exc)) from exc
     return {sec: dict(cp.items(sec)) for sec in cp.sections()}
 
 
-class RunConfig:
-    """Merged view of one command's parameters: flags beat file beats default."""
-
-    def __init__(self, ns, section):
-        self._ns = vars(ns)
-        self._sec = dict(section)
-        # threads and outdir are legal in any section even when unused
-        self._seen = {"threads", "outdir"}
-
-    def get(self, key, default=None, cast=str, positive=False):
-        """The flag, else the file's value cast, else default; a non-finite
-        float, or with positive a value <= 0, is a usage error."""
-        self._seen.add(key)
-        val = self._ns.get(key.replace("-", "_"))
-        if val is None:
-            raw = self._sec.get(key)
-            if raw is None:
-                return default
-            try:
-                val = cast(raw)
-            except (TypeError, ValueError) as exc:
-                raise UsageError("config key %r: %s" % (key, exc)) from exc
-        if isinstance(val, float) and not math.isfinite(val):
-            raise UsageError("%s must be finite, got %r" % (key, val))
-        if positive and not val > 0:
-            raise UsageError("%s must be positive, got %r" % (key, val))
-        return val
-
-    def require(self, key, cast=str):
-        val = self.get(key, None, cast)
-        if val is None:
-            raise UsageError("missing required parameter %r" % key)
-        return val
-
-    def check_consumed(self):
-        extra = sorted(set(self._sec) - self._seen)
-        if extra:
-            raise UsageError("unknown config key(s): %s" % ", ".join(extra))
-
-
-def _parse_grid(text):
-    parts = str(text).lower().split("x")
-    if len(parts) != 2:
-        raise UsageError("grid must look like 128x256")
-    try:
-        n_s, n_th = int(parts[0]), int(parts[1])
-    except ValueError as exc:
-        raise UsageError("grid must look like 128x256") from exc
-    return n_s, n_th
+def _with_config(argv):
+    """argv with the --config file's section for its subcommand spliced in
+    as --key=value tokens right after the subcommand. argparse keeps the
+    last value it reads, so a flag in argv wins over the file."""
+    if not argv or argv[0] not in _COMMANDS:
+        return argv
+    pre = _Parser(add_help=False)
+    pre.add_argument("--config")
+    path = pre.parse_known_args(argv[1:])[0].config
+    if path is None:
+        return argv
+    section = _load_config(path).get(argv[0], {})
+    return argv[:1] + ["--%s=%s" % item for item in section.items()] + argv[1:]
 
 
 def _finite(text):
-    v = float(text)
+    try:
+        v = float(text)
+    except ValueError:
+        v = math.nan
     if not math.isfinite(v):
-        raise ValueError("%r is not finite" % text)
+        raise argparse.ArgumentTypeError("%r is not a finite number" % text)
     return v
+
+
+def _positive(cast):
+    def positive(text):
+        v = cast(text)
+        if not v > 0:
+            raise argparse.ArgumentTypeError("%r is not positive" % text)
+        return v
+
+    return positive
+
+
+def _within(lo, hi):
+    def within(text):
+        v = _finite(text)
+        if not lo <= v <= hi:
+            raise argparse.ArgumentTypeError("%r lies outside [%g, %g]" % (text, lo, hi))
+        return v
+
+    return within
+
+
+def _grid(text):
+    n_s, _, n_th = str(text).lower().partition("x")
+    try:
+        return int(n_s), int(n_th)
+    except ValueError:
+        raise argparse.ArgumentTypeError("grid must look like 128x256") from None
 
 
 def _barrier_pair(text):
@@ -108,121 +111,96 @@ def _barrier_pair(text):
     return l, L
 
 
-def _parse_radii(text):
-    """Either a:b[:step] (inclusive) or a comma list."""
+def _radii(text):
+    """Either a:b[:step] (inclusive, at most MAX_NODES radii) or a comma list."""
     t = str(text).strip()
-    try:
-        if ":" in t:
-            parts = [_finite(x) for x in t.split(":")]
-            if len(parts) == 2:
-                a, b, step = parts[0], parts[1], 1.0
-            elif len(parts) == 3:
-                a, b, step = parts
-            else:
-                raise ValueError(t)
-            if step <= 0 or b < a:
-                raise ValueError(t)
-            n = int(math.floor((b - a) / step + 1e-9))
-            vals = [a + k * step for k in range(n + 1)]
-        else:
-            vals = [_finite(x) for x in t.split(",") if x.strip()]
-    except ValueError as exc:
-        raise UsageError("radii must be a:b, a:b:step, or a comma list of finite numbers") from exc
+    if ":" in t:
+        parts = [_finite(x) for x in t.split(":")]
+        if len(parts) == 2:
+            parts.append(1.0)
+        if len(parts) != 3 or not (parts[2] > 0 and parts[1] >= parts[0]):
+            raise argparse.ArgumentTypeError("radii must be a:b, a:b:step, or a comma list")
+        a, b, step = parts
+        count = (b - a) / step + 1e-9  # inf when step is tiny
+        if not count < MAX_NODES:
+            raise argparse.ArgumentTypeError("more than %d radii" % MAX_NODES)
+        vals = [a + k * step for k in range(int(math.floor(count)) + 1)]
+    else:
+        vals = [_finite(x) for x in t.split(",") if x.strip()]
     if not vals:
-        raise UsageError("empty radii list")
+        raise argparse.ArgumentTypeError("empty radii list")
     return vals
+
+
+# surface name -> its parameters with their defaults; every surface takes m too
+_SURFACE_PARAMS = {
+    "hyperboloid": {"l": 1.0},
+    "bumped": {"eps": 0.05, "l": 1.0, "decay": 2.0},
+    "saddle": {"amp": 1.2, "decay": 2.0, "l": 1.0},
+}
 
 
 def _parse_surface(spec, m=None):
     """Builtin analytic surfaces or a sampled field file.
 
-    Returns (object, chart_radius or None, meta dict). chart_radius is set
-    only for surfaces whose geodesic balls are chart-round.
+    Returns (surface, chart_radius or None). chart_radius is set only for
+    surfaces whose geodesic balls are chart-round.
     """
     name, _, rest = str(spec).partition(":")
     if name == "field":
         if not rest:
             raise UsageError("field surface needs a path: field:<file>")
         fld = fieldio.read_cartesian_field(rest)
-        if m is not None and int(m) != fld.grid.m:
+        if m is not None and m != fld.grid.m:
             raise UsageError("field file has m = %d" % fld.grid.m)
-        return fld, None, {"surface": spec, "m": fld.grid.m}
+        return fld, None
+    if name not in _SURFACE_PARAMS:
+        raise UsageError("unknown surface %r (hyperboloid, bumped, saddle, field:<path>)" % name)
     params = {}
-    for item in rest.split(","):
-        if not item:
-            continue
+    for item in filter(None, rest.split(",")):
         k, eq, v = item.partition("=")
         if not eq:
             raise UsageError("surface parameters look like l=1,eps=0.05")
         try:
             params[k.strip()] = _finite(v)
-        except ValueError as exc:
+        except argparse.ArgumentTypeError as exc:
             raise UsageError("bad surface parameter %r" % item) from exc
-    mm = int(m) if m is not None else int(params.pop("m", 2))
+    mm = m if m is not None else int(params.pop("m", 2))
+    kw = dict(_SURFACE_PARAMS[name])
+    unknown = sorted(set(params) - set(kw))
+    if unknown:
+        raise UsageError("unknown %s parameter(s): %s" % (name, unknown))
+    kw.update(params)
+    # factories are looked up at call time, so wrappers installed on the
+    # cartesian module see every surface built here
     if name == "hyperboloid":
-        l = params.pop("l", 1.0)
-        if params:
-            raise UsageError("unknown hyperboloid parameter(s): %s" % sorted(params))
-        surf = cartesian.hyperboloid(l, mm)
-        return surf, integrals.hyperboloid_chart_radius(l), {"surface": spec, "m": mm}
+        return cartesian.hyperboloid(kw["l"], mm), integrals.hyperboloid_chart_radius(kw["l"])
     if name == "bumped":
-        eps = params.pop("eps", 0.05)
-        l = params.pop("l", 1.0)
-        decay = params.pop("decay", 2.0)
-        if params:
-            raise UsageError("unknown bumped parameter(s): %s" % sorted(params))
-        surf = cartesian.bumped_hyperboloid(eps, l=l, m=mm, decay=decay)
-        return surf, None, {"surface": spec, "m": mm}
-    if name == "saddle":
-        amp = params.pop("amp", 1.2)
-        decay = params.pop("decay", 2.0)
-        l = params.pop("l", 1.0)
-        if params:
-            raise UsageError("unknown saddle parameter(s): %s" % sorted(params))
-        if mm != 2:
-            raise UsageError("the saddle surface is two dimensional")
-        surf = cartesian.saddle_hyperboloid(amp=amp, decay=decay, l=l)
-        return surf, None, {"surface": spec, "m": 2}
-    raise UsageError("unknown surface %r (hyperboloid, bumped, saddle, field:<path>)" % name)
-
-
-def _outpath(conf, key, default):
-    outdir = conf.get("outdir", ".")
-    os.makedirs(outdir, exist_ok=True)
-    return os.path.join(outdir, conf.get(key, default))
+        return cartesian.bumped_hyperboloid(m=mm, **kw), None
+    if mm != 2:
+        raise UsageError("the saddle surface is two dimensional")
+    return cartesian.saddle_hyperboloid(**kw), None
 
 
 # ---------------------------------------------------------------------------
 # subcommands
 
 
-def cmd_solve(conf):
-    hspec = conf.require("H")
-    H = solver.parse_curvature(hspec)
-    s_max = conf.require("smax", float)
-    n_s, n_th = _parse_grid(conf.get("grid", "64x128"))
-    boundary = conf.get("boundary", 0.0, float)
-    tol = conf.get("tol", 1e-10, float, positive=True)
-    max_iters = conf.get("max-iters", 50, int, positive=True)
-    field_path = _outpath(conf, "field-file", "solution.field")
-    report_path = _outpath(conf, "report-file", "solve_report.json")
-    conf.check_consumed()
-
+def cmd_solve(ns):
+    H = solver.parse_curvature(ns.H)
+    n_s, n_th = ns.grid
     fld, rep = solver.solve_dirichlet(
-        H, s_max, n_s=n_s, n_theta=n_th, boundary=boundary, tol=tol, max_iters=max_iters
+        H, ns.smax, n_s=n_s, n_theta=n_th, boundary=ns.boundary, tol=ns.tol,
+        max_iters=ns.max_iters,
     )
+    field_path = os.path.join(ns.outdir, ns.field_file)
     fieldio.write_radial_field(fld, field_path)
     back = fieldio.read_radial_field(field_path)
     doc = rep.as_dict()
-    doc.update(
-        {
-            "H": hspec,
-            "boundary": boundary,
-            "field_file": os.path.basename(field_path),
-            "roundtrip_max_gap": float(np.abs(back.matrix() - fld.matrix()).max()),
-        }
-    )
-    dump_json(doc, report_path)
+    gap = float(np.abs(back.matrix() - fld.matrix()).max())
+    doc.update({"H": ns.H, "boundary": ns.boundary, "field_file": os.path.basename(field_path),
+                "roundtrip_max_gap": gap})
+    dump_json(doc, os.path.join(ns.outdir, ns.report_file))
     print(
         "solve: converged=%s iterations=%d residual=%.3e u in [%.6f, %.6f]"
         % (rep.converged, rep.iterations, rep.residual_norm, rep.min_u, rep.max_u)
@@ -230,57 +208,38 @@ def cmd_solve(conf):
     return EXIT_OK if rep.converged else EXIT_COMPUTE
 
 
-def cmd_exhaustion(conf):
-    hspec = conf.require("H")
-    H = solver.parse_curvature(hspec)
-    radii = _parse_radii(conf.get("radii", "1:6"))
-    ds = conf.get("ds", None, float)
-    n_theta = conf.get("ntheta", 96, int)
-    s0 = conf.get("s0", 1.0, float)
-    lam = conf.get("lam", 2.0, float)
-    tol = conf.get("tol", 1e-10, float, positive=True)
-    report_path = _outpath(conf, "report-file", "exhaustion_report.json")
-    conf.check_consumed()
-
-    ex = solver.exhaustion(H, radii, s0=s0, ds=ds, n_theta=n_theta, tol=tol, lam=lam)
-    names = []
+def cmd_exhaustion(ns):
+    H = solver.parse_curvature(ns.H)
+    ex = solver.exhaustion(H, ns.radii, s0=ns.s0, ds=ns.ds, n_theta=ns.ntheta, tol=ns.tol,
+                           lam=ns.lam)
+    report_path = os.path.join(ns.outdir, ns.report_file)
     outdir = os.path.dirname(report_path) or "."
+    names = []
     for k, fld in enumerate(ex.fields):
         name = "ball_%02d.field" % (k + 1)
         fieldio.write_radial_field(fld, os.path.join(outdir, name))
         names.append(name)
     doc = ex.as_dict()
-    doc.update({"H": hspec, "field_files": names})
+    doc.update({"H": ns.H, "field_files": names})
     dump_json(doc, report_path)
     final = ex.compact_deltas[-1] if ex.compact_deltas else float("nan")
+    tilt = max(ex.tilt_series) if ex.tilt_series else float("nan")
     print(
         "exhaustion: %d/%d balls converged, final compact delta %.3e, tilt max %.6f"
-        % (
-            sum(r.converged for r in ex.reports),
-            len(radii),
-            final,
-            max(ex.tilt_series) if ex.tilt_series else float("nan"),
-        )
+        % (sum(r.converged for r in ex.reports), len(ns.radii), final, tilt)
     )
     return EXIT_OK if ex.converged_all else EXIT_COMPUTE
 
 
-def cmd_willmore(conf):
-    spec = conf.require("surface")
-    m = conf.get("m", None, int)
-    R = conf.get("R", 50.0, float)
-    threads = conf.get("threads", default_threads(), int)
-    report_path = _outpath(conf, "report-file", "willmore_report.json")
-    conf.check_consumed()
-
-    obj, _, _ = _parse_surface(spec, m)
-    rep = integrals.willmore_integral(obj, truncation=R, threads=threads)
+def cmd_willmore(ns):
+    obj, _ = _parse_surface(ns.surface, ns.m)
+    rep = integrals.willmore_integral(obj, truncation=ns.R, threads=ns.threads)
     # the truncated integral may sit below the bound by what the tail holds
     tolerance = rep.quad_tolerance + rep.tail_estimate
     ok = rep.integral + tolerance >= rep.lower_bound
     doc = rep.as_dict()
-    doc.update({"surface": spec, "passes": bool(ok)})
-    dump_json(doc, report_path)
+    doc.update({"surface": ns.surface, "passes": bool(ok)})
+    dump_json(doc, os.path.join(ns.outdir, ns.report_file))
     print(
         "willmore: integral %.9f vs bound %.9f (tolerance %.2e) -> %s"
         % (rep.integral, rep.lower_bound, tolerance, "ok" if ok else "VIOLATION")
@@ -288,18 +247,11 @@ def cmd_willmore(conf):
     return EXIT_OK if ok else EXIT_VIOLATION
 
 
-def cmd_growth(conf):
-    spec = conf.require("surface")
-    m = conf.get("m", None, int)
-    p = conf.get("p", 2.0, float)
-    radii = _parse_radii(conf.get("radii", "1:8"))
-    csv_path = _outpath(conf, "csv-file", "growth.csv")
-    conf.check_consumed()
-
-    obj, chart, _ = _parse_surface(spec, m)
-    series = integrals.lp_growth(obj, p, radii, chart_radius=chart)
+def cmd_growth(ns):
+    obj, chart = _parse_surface(ns.surface, ns.m)
+    series = integrals.lp_growth(obj, ns.p, ns.radii, chart_radius=chart)
     fieldio.write_series_csv(
-        csv_path,
+        os.path.join(ns.outdir, ns.csv_file),
         {
             "rho": series.radii,
             "lp_norm": series.lp_norms,
@@ -308,38 +260,23 @@ def cmd_growth(conf):
             "volume": series.volumes,
         },
     )
-    stalled = p <= series.m and series.plateaued
+    stalled = ns.p <= series.m and series.plateaued
     print(
         "growth: p=%g m=%d norm %.6e -> %.6e over rho %g..%g%s"
-        % (
-            p,
-            series.m,
-            series.lp_norms[0],
-            series.lp_norms[-1],
-            series.radii[0],
-            series.radii[-1],
-            " PLATEAU" if stalled else "",
-        )
+        % (ns.p, series.m, series.lp_norms[0], series.lp_norms[-1], series.radii[0],
+           series.radii[-1], " PLATEAU" if stalled else "")
     )
     return EXIT_VIOLATION if stalled else EXIT_OK
 
 
-def cmd_check_h(conf):
-    hspec = conf.require("H")
-    H = solver.parse_curvature(hspec)
-    requested = conf.get("lL", None, _barrier_pair)
-    n_t = conf.get("nt", 41, int)
-    n_s = conf.get("ns", 41, int)
-    s_span = conf.get("s-span", 8.0, float)
-    report_path = _outpath(conf, "report-file", "hypotheses_report.json")
-    conf.check_consumed()
-
-    rep = solver.check_hypotheses(
-        H, n_t=n_t, n_s=n_s, s_span=s_span, requested_radii=requested
-    )
+def cmd_check_h(ns):
+    H = solver.parse_curvature(ns.H)
+    requested = ns.lL
+    rep = solver.check_hypotheses(H, n_t=ns.nt, n_s=ns.ns, s_span=ns.s_span,
+                                  requested_radii=requested)
     doc = rep.as_dict()
-    doc["H"] = hspec
-    dump_json(doc, report_path)
+    doc["H"] = ns.H
+    dump_json(doc, os.path.join(ns.outdir, ns.report_file))
     ok = rep.passes["H1"] and rep.passes["H3"] and rep.passes["positive"]
     if requested is not None:
         ok = ok and rep.requested_ok
@@ -347,7 +284,7 @@ def cmd_check_h(conf):
     print(
         "check-h: %s passes [%s]%s barriers l=%s L=%s"
         % (
-            hspec,
+            ns.H,
             flags,
             "" if requested is None else " requested %s" % (("(%g, %g)" % requested)),
             "none" if rep.h3_l is None else "%.4f" % rep.h3_l,
@@ -357,64 +294,48 @@ def cmd_check_h(conf):
     return EXIT_OK if ok else EXIT_VIOLATION
 
 
-def cmd_identities(conf):
-    step = conf.get("step", 0.08, float, positive=True)
-    tau_step = conf.get("tau-step", 2e-2, float, positive=True)
-    n_s, n_th = _parse_grid(conf.get("grid", "32x64"))
+def _order_entry(suite, case, coarse, fine):
+    """A residual at one step and at half of it, with the convergence order
+    log2(coarse / fine); a residual an exact symmetry zeroes gives none."""
+    order = None if coarse < 1e-10 else float(np.log2(coarse / fine))
+    return {"suite": suite, "case": case, "coarse": coarse, "fine": fine, "order": order}
+
+
+def cmd_identities(ns):
+    n_s, n_th = ns.grid
     if n_s < 10:
         # the Poincare order passes 1.9 from n_s = 10 on (1.43 at 4, 1.86 at 8, 1.91 at 10)
         raise UsageError("identities needs n_s >= 10; coarser grids miss the asymptotic range")
-    s_max = conf.get("smax", 3.0, float)
-    hspec = conf.get("H", "rational:0.1")
-    report_path = _outpath(conf, "report-file", "identities_report.json")
-    conf.check_consumed()
-
-    floor = 1e-10  # identities an exact symmetry satisfies give no order
-    entries = []
-    for name, graph in sorted(radial.builtin_identity_graphs().items()):
-        r1 = radial.laplacian_w_residual(graph, 1.1, 0.8, step=step)
-        r2 = radial.laplacian_w_residual(graph, 1.1, 0.8, step=step / 2)
-        order = None if r1 < floor else float(np.log2(r1 / r2))
-        entries.append(
-            {"suite": "laplacian_w", "case": name, "coarse": r1, "fine": r2, "order": order}
-        )
-    for label, pt in (("axis", [1.5, 0.0, 0.0]), ("generic", [2.0, 0.3, -0.4])):
-        r1 = radial.hessian_tau_residual(np.asarray(pt), step=tau_step)
-        r2 = radial.hessian_tau_residual(np.asarray(pt), step=tau_step / 2)
-        order = None if r1 < floor else float(np.log2(r1 / r2))
-        entries.append(
-            {"suite": "hessian_tau", "case": label, "coarse": r1, "fine": r2, "order": order}
-        )
-    H = solver.parse_curvature(hspec)
-    res = {}
-    for k, (ns_k, nth_k) in enumerate(((n_s, n_th), (2 * n_s, 2 * n_th))):
-        fld, rep = solver.solve_dirichlet(H, s_max, n_s=ns_k, n_theta=nth_k, precheck=False)
+    H = solver.parse_curvature(ns.H)
+    PolarGrid(2 * n_s, 2 * n_th, ns.smax)  # the fine solve's grid passes its checks up front
+    entries = [
+        _order_entry("laplacian_w", name, *(
+            radial.laplacian_w_residual(graph, 1.1, 0.8, step=h) for h in (ns.step, ns.step / 2)
+        ))
+        for name, graph in sorted(radial.builtin_identity_graphs().items())
+    ]
+    entries += [
+        _order_entry("hessian_tau", label, *(
+            radial.hessian_tau_residual(np.asarray(pt), step=h)
+            for h in (ns.tau_step, ns.tau_step / 2)
+        ))
+        for label, pt in (("axis", [1.5, 0.0, 0.0]), ("generic", [2.0, 0.3, -0.4]))
+    ]
+    res = []
+    for k in (1, 2):
+        fld, rep = solver.solve_dirichlet(H, ns.smax, n_s=k * n_s, n_theta=k * n_th, precheck=False)
         if not rep.converged:
             raise ConvergenceError("chart suite solve did not converge")
-        res[k] = solver.poincare_residual(fld, H)
-    entries.append(
-        {
-            "suite": "poincare",
-            "case": hspec,
-            "coarse": res[0],
-            "fine": res[1],
-            "order": float(np.log2(res[0] / res[1])),
-        }
-    )
+        res.append(solver.poincare_residual(fld, H))
+    entries.append(_order_entry("poincare", ns.H, *res))
     orders = [e["order"] for e in entries if e["order"] is not None]
     ok = all(o >= 1.9 for o in orders)
-    dump_json({"entries": entries, "passes": bool(ok), "min_order": min(orders)}, report_path)
+    report = {"entries": entries, "passes": bool(ok), "min_order": min(orders)}
+    dump_json(report, os.path.join(ns.outdir, ns.report_file))
     for e in entries:
-        print(
-            "identities: %-12s %-12s %.3e -> %.3e order %s"
-            % (
-                e["suite"],
-                e["case"],
-                e["coarse"],
-                e["fine"],
-                "exact" if e["order"] is None else "%.3f" % e["order"],
-            )
-        )
+        order = "exact" if e["order"] is None else "%.3f" % e["order"]
+        print("identities: %-12s %-12s %.3e -> %.3e order %s"
+              % (e["suite"], e["case"], e["coarse"], e["fine"], order))
     print("identities: min order %.3f -> %s" % (min(orders), "ok" if ok else "VIOLATION"))
     return EXIT_OK if ok else EXIT_VIOLATION
 
@@ -424,67 +345,79 @@ def cmd_identities(conf):
 
 
 class _Parser(argparse.ArgumentParser):
+    """Errors raise UsageError; flags are never abbreviated."""
+
+    def __init__(self, **kwargs):
+        kwargs.setdefault("allow_abbrev", False)
+        super().__init__(**kwargs)
+
     def error(self, message):
         raise UsageError(message)
 
 
 def make_parser():
+    positive = _positive(_finite)
     shared = _Parser(add_help=False)
     shared.add_argument("--config", help="key = value file with one section per command")
     shared.add_argument("--threads", type=int, help="worker threads (else PMC_THREADS, else 1)")
-    shared.add_argument("--outdir", help="directory for outputs (default .)")
+    shared.add_argument("--outdir", default=".", help="directory for outputs (default .)")
 
     p = _Parser(prog="pmcsurf", description="spacelike graph curvature toolkit")
-    sub = p.add_subparsers(dest="command")
+    sub = p.add_subparsers(dest="command", required=True)
 
     s = sub.add_parser("solve", parents=[shared], help="Dirichlet solve on one geodesic ball")
-    s.add_argument("--H", help="curvature data: const:<c>, rational[:eps], dilation, table:<csv>")
-    s.add_argument("--smax", type=float, help="geodesic radius of the ball")
-    s.add_argument("--grid", help="n_s x n_theta, e.g. 128x256")
-    s.add_argument("--boundary", type=float, help="constant Dirichlet value (default 0)")
-    s.add_argument("--tol", type=float)
-    s.add_argument("--max-iters", type=int)
-    s.add_argument("--field-file")
-    s.add_argument("--report-file")
+    s.add_argument("--H", required=True,
+                   help="curvature data: const:<c>, rational[:eps], dilation, table:<csv>")
+    s.add_argument("--smax", type=_finite, required=True, help="geodesic radius of the ball")
+    s.add_argument("--grid", type=_grid, default="64x128", help="n_s x n_theta, e.g. 128x256")
+    s.add_argument("--boundary", type=_finite, default=0.0, help="constant Dirichlet value")
+    s.add_argument("--tol", type=positive, default=1e-10)
+    s.add_argument("--max-iters", type=_positive(int), default=50)
+    s.add_argument("--field-file", default="solution.field")
+    s.add_argument("--report-file", default="solve_report.json")
 
     e = sub.add_parser("exhaustion", parents=[shared], help="solve on growing balls")
-    e.add_argument("--H")
-    e.add_argument("--radii", help="a:b[:step] or comma list")
-    e.add_argument("--ds", type=float, help="shared radial spacing")
-    e.add_argument("--ntheta", type=int)
-    e.add_argument("--s0", type=float, help="compact ball for deltas")
-    e.add_argument("--lam", type=float, help="dilation weight exponent")
-    e.add_argument("--tol", type=float)
-    e.add_argument("--report-file")
+    e.add_argument("--H", required=True)
+    e.add_argument("--radii", type=_radii, default="1:6", help="a:b[:step] or comma list")
+    e.add_argument("--ds", type=_finite, help="shared radial spacing")
+    e.add_argument("--ntheta", type=int, default=96)
+    e.add_argument("--s0", type=_finite, default=1.0, help="compact ball for deltas")
+    e.add_argument("--lam", type=_finite, default=2.0, help="dilation weight exponent")
+    e.add_argument("--tol", type=positive, default=1e-10)
+    e.add_argument("--report-file", default="exhaustion_report.json")
 
     w = sub.add_parser("willmore", parents=[shared], help="total curvature vs sharp bound")
-    w.add_argument("--surface", help="hyperboloid:l=1, bumped:eps=0.05, saddle, field:<file>")
+    w.add_argument("--surface", required=True,
+                   help="hyperboloid:l=1, bumped:eps=0.05, saddle, field:<file>")
     w.add_argument("--m", type=int)
-    w.add_argument("--R", type=float, help="truncation radius")
-    w.add_argument("--report-file")
+    w.add_argument("--R", type=_finite, default=50.0, help="truncation radius")
+    w.add_argument("--report-file", default="willmore_report.json")
 
     g = sub.add_parser("growth", parents=[shared], help="L^p curvature mass on growing balls")
-    g.add_argument("--surface")
+    g.add_argument("--surface", required=True)
     g.add_argument("--m", type=int)
-    g.add_argument("--p", type=float)
-    g.add_argument("--radii")
-    g.add_argument("--csv-file")
+    g.add_argument("--p", type=_finite, default=2.0)
+    g.add_argument("--radii", type=_radii, default="1:8")
+    g.add_argument("--csv-file", default="growth.csv")
 
     c = sub.add_parser("check-h", parents=[shared], help="sampled hypothesis checks")
-    c.add_argument("--H")
+    c.add_argument("--H", required=True)
     c.add_argument("--lL", type=_barrier_pair, help="requested barrier pair, e.g. 0.8,1.25")
-    c.add_argument("--nt", type=int)
-    c.add_argument("--ns", type=int)
-    c.add_argument("--s-span", type=float)
-    c.add_argument("--report-file")
+    c.add_argument("--nt", type=int, default=41)
+    c.add_argument("--ns", type=int, default=41)
+    c.add_argument("--s-span", type=_finite, default=8.0)
+    c.add_argument("--report-file", default="hypotheses_report.json")
 
+    # the step windows sit inside the ranges where every order passes 1.9,
+    # --step in [1e-3, 0.15] and --tau-step in [1e-3, 0.7]: below them
+    # round-off in the differences takes over, above them higher order terms
     i = sub.add_parser("identities", parents=[shared], help="residual convergence orders")
-    i.add_argument("--step", type=float)
-    i.add_argument("--tau-step", type=float)
-    i.add_argument("--grid")
-    i.add_argument("--smax", type=float)
-    i.add_argument("--H")
-    i.add_argument("--report-file")
+    i.add_argument("--step", type=_within(1e-3, 0.1), default=0.08)
+    i.add_argument("--tau-step", type=_within(1e-3, 0.5), default=2e-2)
+    i.add_argument("--grid", type=_grid, default="32x64")
+    i.add_argument("--smax", type=_finite, default=3.0)
+    i.add_argument("--H", default="rational:0.1")
+    i.add_argument("--report-file", default="identities_report.json")
 
     return p
 
@@ -500,14 +433,11 @@ _COMMANDS = {
 
 
 def main(argv=None):
-    parser = make_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        ns = parser.parse_args(argv)
-        if ns.command is None:
-            raise UsageError("a subcommand is required (see --help)")
-        sections = _load_config(ns.config) if ns.config else {}
-        conf = RunConfig(ns, sections.get(ns.command, {}))
-        return _COMMANDS[ns.command](conf)
+        ns = make_parser().parse_args(_with_config(argv))
+        os.makedirs(ns.outdir, exist_ok=True)
+        return _COMMANDS[ns.command](ns)
     except UsageError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_USAGE

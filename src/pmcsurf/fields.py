@@ -11,6 +11,11 @@ from .errors import OutOfDomainError, UsageError
 
 _S_MAX_LIMIT = math.asinh(sys.float_info.max)  # sinh overflows a float past it
 
+# Largest n_s * n_theta of a polar grid: 512x1024. A solve's peak RSS grows
+# about 3x per doubling of both sides (147 MB at 128x256, 453 MB at 256x512),
+# so a solve at the cap needs about 1.5 GB.
+MAX_NODES = 2**19
+
 
 @dataclass(frozen=True)
 class PolarGrid:
@@ -27,6 +32,8 @@ class PolarGrid:
     def __post_init__(self):
         if self.n_s < 2 or self.n_theta < 8 or self.n_theta % 2 != 0:
             raise UsageError("polar grid needs n_s >= 2 and even n_theta >= 8")
+        if self.n_s * self.n_theta > MAX_NODES:
+            raise UsageError("polar grid has more than %d nodes" % MAX_NODES)
         if not 0 < self.s_max <= _S_MAX_LIMIT:
             raise UsageError("s_max must be positive, at most %.4f (sinh overflows)" % _S_MAX_LIMIT)
 

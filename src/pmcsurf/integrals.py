@@ -398,12 +398,12 @@ class GrowthSeries:
         )
 
 
-def lp_growth(obj, p, radii, chart_radius=None, center=None, plateau_rtol=1e-3):
+def lp_growth(obj, p, radii, chart_radius=None, center=None):
     """Track ||H||_{L^p(B_rho)} and |N(B_rho^+)| on expanding balls.
 
     For the surfaces of interest with bounded curvature the p <= m mass
     must grow without bound; the plateaued flag raises a hand when the
-    last step grows by less than plateau_rtol in relative terms.
+    last step grows by less than 1e-3 in relative terms.
     """
     p = float(p)
     if not 1.0 <= p < math.inf:
@@ -414,7 +414,7 @@ def lp_growth(obj, p, radii, chart_radius=None, center=None, plateau_rtol=1e-3):
     m, (lp_mass, lm_mass, gauss, vols) = _ball_masses(obj, p, radii, chart_radius, center)
     # the absolute floor keeps roundoff-scale masses (flat graphs) from
     # registering as growth
-    grew = (lp_mass[-1] - lp_mass[-2]) > plateau_rtol * max(lp_mass[-1], 1e-12)
+    grew = (lp_mass[-1] - lp_mass[-2]) > 1e-3 * max(lp_mass[-1], 1e-12)
     return GrowthSeries(
         p=p,
         m=m,

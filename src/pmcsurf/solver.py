@@ -16,6 +16,7 @@ solutions against a different form of the same operator.
 """
 
 import math
+import sys
 import warnings
 from dataclasses import asdict, dataclass
 
@@ -25,11 +26,13 @@ from scipy.sparse.linalg import spsolve
 
 from .errors import BracketError, ConvergenceError, DomainError, NotSpacelikeError, UsageError
 from .fields import (
-    PolarGrid, ScalarField, diff_s, diff_theta, gradient_norm_sq, polar_gradient, polar_jets,
-    pole_gradient,
+    MAX_NODES, PolarGrid, ScalarField, diff_s, diff_theta, gradient_norm_sq, polar_gradient,
+    polar_jets, pole_gradient,
 )
 
 _M = 2  # PDE grids are two dimensional; the radial oracle accepts any m
+_THETA_MIN = 1e-3  # both Newton solvers keep every slope |Du| <= 1 - _THETA_MIN
+_EXP_MAX = math.log(sys.float_info.max)  # exp overflows a float past it
 
 
 # ---------------------------------------------------------------------------
@@ -229,7 +232,7 @@ class HypothesisReport:
         return out
 
 
-def check_hypotheses(H, n_t=41, n_s=41, s_span=8.0, requested_radii=None, c_floor=1e-8):
+def check_hypotheses(H, n_t=41, n_s=41, s_span=8.0, requested_radii=None):
     """Sampled verification of the admissibility conditions on Hbar.
 
     Checks, on a (t, s) sample grid over the validity box and a hyperbolic
@@ -243,6 +246,8 @@ def check_hypotheses(H, n_t=41, n_s=41, s_span=8.0, requested_radii=None, c_floo
         raise UsageError("validity box must contain t = 0 (the unit hyperboloid)")
     if int(n_t) < 2 or int(n_s) < 2:
         raise UsageError("the hypothesis checks need at least two samples in t and in s")
+    if int(n_t) * int(n_s) > MAX_NODES:
+        raise UsageError("the hypothesis checks take at most %d samples" % MAX_NODES)
     if not 0 < s_span < math.inf:
         raise UsageError("s_span must be positive and finite")
     t = np.linspace(H.t_min, H.t_max, int(n_t))
@@ -293,7 +298,7 @@ def check_hypotheses(H, n_t=41, n_s=41, s_span=8.0, requested_radii=None, c_floo
 
     passes = {
         "H1": bool(h1_min >= -1e-12),
-        "H1p": bool(h1_min >= c_floor),
+        "H1p": bool(h1_min >= 1e-8),
         "H2": bool(np.isfinite(lam)),
         "H3": bool(h3_l is not None and h3_L is not None),
         "positive": bool(hbar_min > 0),
@@ -317,15 +322,15 @@ def check_hypotheses(H, n_t=41, n_s=41, s_span=8.0, requested_radii=None, c_floo
 
 
 def _as_boundary(boundary, grid):
-    th = grid.theta_nodes
-    if callable(boundary):
-        g = np.broadcast_to(np.asarray(boundary(th), dtype=float), (grid.n_theta,))
-        return g.astype(float).copy()
-    g = np.asarray(boundary, dtype=float)
-    if g.ndim == 0:
-        return np.full(grid.n_theta, float(g))
-    if g.shape != (grid.n_theta,):
+    """Dirichlet data as one value per angle: finite, and small enough that
+    the pole row's exp(u) stays a float."""
+    g = np.asarray(boundary(grid.theta_nodes) if callable(boundary) else boundary, dtype=float)
+    if g.ndim == 0 or callable(boundary):
+        g = np.broadcast_to(g, (grid.n_theta,))
+    elif g.shape != (grid.n_theta,):
         raise UsageError("boundary data must be scalar, callable, or one value per angle")
+    if not (np.isfinite(g).all() and g.max() <= _EXP_MAX):
+        raise UsageError("boundary data must be finite and at most %.4f (exp overflows)" % _EXP_MAX)
     return g.copy()
 
 
@@ -584,13 +589,12 @@ def solve_dirichlet(
     u0=None,
     tol=1e-10,
     max_iters=50,
-    theta_min=1e-3,
     precheck=True,
 ):
     """Damped Newton solve of the Dirichlet problem on a geodesic ball.
 
-    Returns (field, report). Iterates are kept inside the spacelike cone
-    with margin theta_min by step scaling; steps also backtrack until the
+    Returns (field, report). Iterates are kept inside the spacelike cone,
+    |Du| <= 1 - 1e-3, by step scaling; steps also backtrack until the
     residual max-norm drops. Non-convergence is reported, not raised.
     """
     grid = PolarGrid(int(n_s), int(n_theta), float(s_max))
@@ -606,7 +610,7 @@ def solve_dirichlet(
                 )
         except UsageError:
             pass
-    guard = (1.0 - theta_min) ** 2
+    guard = (1.0 - _THETA_MIN) ** 2
     x = _initial_state(prob, u0)
     if prob.slope_sq(x) > guard:
         raise UsageError("initial guess violates the spacelike margin")
@@ -727,7 +731,7 @@ def _collocate(H, s_max, n, b, v0, m):
         if not np.all(np.isfinite(step)):
             raise ConvergenceError("non-finite collocation Newton step")
         alpha, dp = 1.0, D[:, inner] @ step
-        while np.abs(p + alpha * dp).max() > 1.0 - 1e-3:
+        while np.abs(p + alpha * dp).max() > 1.0 - _THETA_MIN:
             alpha *= 0.5
             if alpha < 1e-8:
                 raise NotSpacelikeError("collocation iterate reaches the light cone")
@@ -799,7 +803,7 @@ def _chart_jets(u, i_lo, i_hi):
     return M[sel], lam, rho, (z1, z2), (H11, H12, H22), (x1, x2), sc
 
 
-def poincare_residual(u, H, inner_fraction=0.5, form="nondiv", details=False):
+def poincare_residual(u, H, form="nondiv", details=False):
     """Max-norm residual of the equation in the conformal disk chart.
 
     form="nondiv" evaluates the quasilinear second order operator with the
@@ -811,8 +815,7 @@ def poincare_residual(u, H, inner_fraction=0.5, form="nondiv", details=False):
     if isinstance(H, (int, float)):
         H = constant_curvature(H)
     g = u.grid
-    i_hi = max(2, int(inner_fraction * g.n_s))
-    i_hi = min(i_hi, g.n_s - 1)
+    i_hi = min(max(2, g.n_s // 2), g.n_s - 1)  # the inner half of the rings
     m = _M
     if form == "nondiv":
         Mv, lam, rho, (z1, z2), (H11, H12, H22), (x1, x2), sc = _chart_jets(u, 1, i_hi)

@@ -1,9 +1,12 @@
 import json
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from pmcsurf import fieldio
 from pmcsurf.cartesian import affine, hyperboloid, surface_field
@@ -72,6 +75,27 @@ def test_solve_usage_errors(tmp_path):
         ["exhaustion", "--H", "rational:0.1", "--radii", "1,1e300"],
         ["identities", "--grid", "4x8"],
         ["identities", "--grid", "8x16"],
+        ["identities", "--step", "5e-4"],
+        ["identities", "--step", "9e-4"],
+        ["identities", "--step", "0.11"],
+        ["identities", "--step", "0.2"],
+        ["identities", "--step", "0.3"],
+        ["identities", "--tau-step", "1e-6"],
+        ["identities", "--tau-step", "1e-4"],
+        ["identities", "--tau-step", "9e-4"],
+        ["identities", "--tau-step", "0.51"],
+        ["identities", "--tau-step", "0.75"],
+        ["solve", "--H", "rational:0.1", "--smax", "3", "--grid", "8x16", "--boundary", "710"],
+        ["solve", "--H", "rational:0.1", "--smax", "3", "--grid", "8x16", "--boundary", "1e300"],
+        # sizes over the caps, each rejected before anything of that size is allocated
+        ["solve", "--H", "const:1", "--smax", "2", "--grid", "100000x100000"],
+        ["solve", "--H", "const:1", "--smax", "2", "--grid", "1024x1024"],
+        ["exhaustion", "--H", "rational:0.1", "--radii", "1:2", "--ds", "1e-7"],
+        ["exhaustion", "--H", "rational:0.1", "--radii", "1:2", "--ntheta", "100000000"],
+        ["identities", "--grid", "300x600"],  # under the cap, but its doubled grid is not
+        ["check-h", "--H", "const:1", "--nt", "100000", "--ns", "100000"],
+        ["growth", "--surface", "hyperboloid:l=1", "--radii", "0:1000000:0.000001"],
+        ["growth", "--surface", "hyperboloid:l=1", "--radii", "1:2:1e-320"],
     ],
 )
 def test_non_finite_or_degenerate_values_exit_64(tmp_path, argv):
@@ -79,6 +103,24 @@ def test_non_finite_or_degenerate_values_exit_64(tmp_path, argv):
     table.write_text("x,0,1,2,3\n-1,1,1,1,1\n0,1,nan,1,1\n1,1,1,1,1\n2,1,1,1,1\n")
     argv = [a.replace("NAN_TABLE", str(table)) for a in argv]
     assert main(argv + ["--outdir", str(tmp_path)]) == 64
+
+
+@pytest.mark.parametrize("argv", [["--step", "1e-3"], ["--step", "0.1"],
+                                  ["--tau-step", "1e-3"], ["--tau-step", "0.5"]])
+def test_identities_step_window_edges_pass(tmp_path, argv):
+    assert main(["identities", "--grid", "16x32", "--outdir", str(tmp_path)] + argv) == 0
+
+
+@pytest.mark.parametrize("hspec", ["const:1", "dilation", "rational:0"])
+def test_identities_exact_chart_data_report_an_exact_order(tmp_path, capsys, hspec):
+    assert main(["identities", "--H", hspec, "--outdir", str(tmp_path)]) == 0
+    rep = _read_json(tmp_path / "identities_report.json")
+    poincare = [e for e in rep["entries"] if e["suite"] == "poincare"]
+    assert poincare == [{"suite": "poincare", "case": hspec, "coarse": 0.0, "fine": 0.0,
+                         "order": None}]
+    assert rep["passes"] is True
+    line = "poincare     %-12s 0.000e+00 -> 0.000e+00 order exact" % hspec
+    assert line in capsys.readouterr().out
 
 
 def test_float_overflow_exits_2(tmp_path, capsys):
@@ -138,6 +180,27 @@ def test_config_file_flags_override(tmp_path):
 
     conf.write_text("[solve]\nH = const:1\nsmax = 2\nwibble = 3\n")
     assert main(["solve", "--config", str(conf)]) == 64
+
+
+@pytest.mark.parametrize("line", ["bound = 1", "sm = 2.5", "threads = abc", "help = 1",
+                                  "grid = 8x16x4", "boundary = nan"])
+def test_config_keys_are_exact_flag_names_with_valid_values(tmp_path, line):
+    # every key is parsed as its flag, whether or not the command uses it
+    conf = tmp_path / "run.conf"
+    conf.write_text("[solve]\nH = const:1\nsmax = 2\ngrid = 8x16\n%s\n" % line)
+    assert main(["solve", "--config", str(conf), "--outdir", str(tmp_path)]) == 64
+
+
+def test_config_supplies_required_and_negative_values(tmp_path):
+    conf = tmp_path / "run.conf"
+    conf.write_text("[solve]\nH = const:1\nsmax = 2\ngrid = 8x16\nboundary = -0.1\n"
+                    "report-file = r.json\n[willmore]\nsurface = saddle\n")
+    assert main(["solve", "--config", str(conf), "--outdir", str(tmp_path)]) == 0
+    assert _read_json(tmp_path / "r.json")["boundary"] == -0.1
+    assert main(["solve", "--config", str(conf), "--boundary", "0.1", "--outdir",
+                 str(tmp_path)]) == 0
+    assert _read_json(tmp_path / "r.json")["boundary"] == 0.1
+    assert main(["willmore", "--config", str(conf), "--R", "2", "--outdir", str(tmp_path)]) == 0
 
 
 def test_non_finite_config_value_exit_64(tmp_path):
@@ -282,3 +345,91 @@ def test_console_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert "check-h: const:1 passes" in proc.stdout
+
+
+# ---------------------------------------------------------------------------
+# property test over argv
+
+_BAD = ["abc", "nan", "inf"]  # junk and non-finite values: always exit 64
+_HOSTILE = _BAD + ["-1", "0", "1e300"]
+_H = ["const:1", "rational:0.1", "rational:0", "dilation", "gauss:1", "rational:nan"]
+_SURFACES = ["hyperboloid", "hyperboloid:l=2,m=3", "bumped:eps=0.05", "saddle", "saddle:m=3",
+             "hyperboloid:l=nan", "plane", "field:missing.box"]
+_GRIDS = ["%dx%d" % (a, b) for a in (0, 3, 8, 9, 16) for b in (0, 3, 8, 9, 16)]
+_RADII = ["1:2", "1,1.5,2", "0.5:1.5:0.5", "2:1", "1:2:0"]
+
+# per subcommand: the values drawn for its flags (flags other than H and
+# surface draw from _HOSTILE as often), and flags that keep every run small
+# and supply the required ones (drawn flags come later in argv and win)
+_FLAGS = {
+    "solve": {"H": _H, "smax": ["1", "2"], "grid": _GRIDS, "boundary": ["0.1", "709", "710"],
+              "tol": ["1e-8"], "max-iters": ["2"]},
+    "exhaustion": {"H": _H, "radii": _RADII, "ds": ["0.05", "0.25"], "ntheta": ["8", "9"],
+                   "s0": ["0.5"], "lam": ["1"], "tol": ["1e-8"]},
+    "willmore": {"surface": _SURFACES, "m": ["2", "3"], "R": ["3"], "threads": ["2"]},
+    "growth": {"surface": _SURFACES, "m": ["2", "3"], "p": ["1", "2.5"], "radii": _RADII},
+    "check-h": {"H": _H, "lL": ["0.8,1.25", "1.25,0.8", "nonsense"], "nt": ["2", "64"],
+                "ns": ["3", "64"], "s-span": ["1", "8"]},
+    "identities": {"H": _H, "step": ["0.05"], "tau-step": ["0.02"], "grid": _GRIDS,
+                   "smax": ["2"]},
+}
+_SMALL = {
+    "solve": ["--H", "const:1", "--smax", "2", "--grid", "8x16"],
+    "exhaustion": ["--H", "rational:0.1", "--radii", "1:2", "--ds", "0.25", "--ntheta", "8"],
+    "willmore": ["--surface", "hyperboloid", "--R", "3"],
+    "growth": ["--surface", "hyperboloid", "--radii", "1:2"],
+    "check-h": ["--H", "const:1", "--nt", "8", "--ns", "8"],
+    "identities": ["--grid", "10x16"],
+}
+
+
+@st.composite
+def _run(draw):
+    """A subcommand, some of its flags, and a config section with some keys."""
+    cmd = draw(st.sampled_from(sorted(_FLAGS)))
+    flags = _FLAGS[cmd]
+
+    def value(key):
+        if key in ("H", "surface"):
+            return draw(st.sampled_from(flags[key]))
+        return draw(st.sampled_from(flags[key]) | st.sampled_from(_HOSTILE))
+
+    def pick(n):
+        return {k: value(k) for k in draw(st.lists(st.sampled_from(sorted(flags)), unique=True,
+                                                   max_size=n))}
+
+    return cmd, pick(3), pick(2)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(run=_run())
+@example(run=("identities", {"H": "const:1"}, {}))
+@example(run=("identities", {"H": "dilation"}, {}))
+@example(run=("identities", {"H": "rational:0"}, {}))
+@example(run=("identities", {"step": "0.2"}, {}))
+@example(run=("identities", {"step": "0.3"}, {}))
+@example(run=("identities", {"step": "5e-4"}, {}))
+@example(run=("identities", {"tau-step": "1e-4"}, {}))
+@example(run=("identities", {"tau-step": "1e-6"}, {}))
+@example(run=("solve", {"H": "rational:0.1", "smax": "3", "boundary": "710"}, {}))
+@example(run=("solve", {"H": "rational:0.1", "smax": "3", "boundary": "1e300"}, {}))
+@example(run=("solve", {"H": "const:1", "smax": "2"}, {"bound": "1"}))
+@example(run=("solve", {"H": "const:1", "smax": "2"}, {"threads": "abc"}))
+def test_any_argv_keeps_the_exit_code_contract(tmp_path, run):
+    cmd, flags, keys = run
+    argv = [cmd] + _SMALL[cmd]
+    for k, v in flags.items():
+        argv += ["--" + k, v]
+    if keys:
+        conf = tmp_path / "run.conf"
+        conf.write_text("[%s]\n" % cmd + "".join("%s = %s\n" % kv for kv in keys.items()))
+        argv += ["--config", str(conf)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        rc = main(argv + ["--outdir", str(tmp_path / "out")])
+    assert rc in (0, 2, 3, 64, 66)
+    if any(v in _BAD for v in list(flags.values()) + list(keys.values())):
+        assert rc == 64
+    if keys.keys() - _FLAGS[cmd].keys() - {"threads"}:
+        assert rc == 64

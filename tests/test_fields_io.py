@@ -36,6 +36,10 @@ def test_polar_grid_validation():
     for s_max in (np.inf, np.nan, 711.0):
         with pytest.raises(UsageError):
             PolarGrid(8, 16, s_max)
+    assert PolarGrid(512, 1024, 1.0).n_s == 512  # the largest grid under the node cap
+    for n_s, n_theta in ((513, 1024), (100000, 100000)):
+        with pytest.raises(UsageError):
+            PolarGrid(n_s, n_theta, 1.0)
 
 
 def test_scalar_field_round_trips():

@@ -132,6 +132,8 @@ def test_hypotheses_usage():
     for bad in (np.nan, np.inf, 0.0):
         with pytest.raises(UsageError):
             sv.check_hypotheses(sv.constant_curvature(1.0), s_span=bad)
+    with pytest.raises(UsageError):  # fails before the sample grid is allocated
+        sv.check_hypotheses(sv.constant_curvature(1.0), n_t=10**6, n_s=10**6)
 
 
 def test_fd_fallback_matches_analytic():
@@ -277,6 +279,17 @@ def test_solve_boundary_callable():
     M = fld.matrix()
     assert np.abs(M[-1] - 0.05 * np.cos(fld.grid.theta_nodes)).max() < 1e-15
     assert np.abs(M).max() <= 0.05 + 1e-8
+
+
+@pytest.mark.parametrize(
+    "boundary",
+    [lambda th: np.where(th > 1.0, np.nan, 0.0), np.inf, 710.0, [0.0] * 15 + [1e300]],
+)
+def test_boundary_data_must_be_finite_and_exp_safe(boundary):
+    # the pole row takes exp(u); past log(float max) that overflows
+    with pytest.raises(UsageError):
+        sv.solve_dirichlet(sv.constant_curvature(1.0), 2.0, n_s=8, n_theta=16, boundary=boundary,
+                           precheck=False)
 
 
 def test_solve_warns_without_barrier_radii():
