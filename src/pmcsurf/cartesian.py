@@ -302,14 +302,15 @@ class AlcReport:
     looks_alc: bool
 
 
-def alc_decay_check(fld, fit_fraction=0.3, tol=1e-2):
+def alc_decay_check(fld):
     """Shell suprema of f(x) - |x| and a tail estimate of their limit.
 
     Shells are annuli one grid spacing wide, trimmed to the largest ball
     inside the box so every shell sees all directions. The limit estimate
-    fits a + c/r to the outer shells: the residual of a graph approaching
-    a translate of the cone decays like 1/r, so the raw sup at the box
-    edge overestimates the limit while the fit removes the slow tail.
+    fits a + c/r to the outer 30% of the shells (at least five): the
+    residual of a graph approaching a translate of the cone decays like
+    1/r, so the raw sup at the box edge overestimates the limit while the
+    fit removes the slow tail. The field looks ALC when |a| <= 1e-2.
     """
     g = fld.grid
     r = g.node_radii()
@@ -329,7 +330,7 @@ def alc_decay_check(fld, fit_fraction=0.3, tol=1e-2):
     nonempty = np.isfinite(sup)
     sup, radii = sup[nonempty], radii[nonempty]
     monotone = bool(np.all(np.diff(sup) <= 1e-12))
-    n_fit = max(5, int(fit_fraction * sup.size))
+    n_fit = max(5, int(0.3 * sup.size))
     rt, st = radii[-n_fit:], sup[-n_fit:]
     coef, *_ = np.linalg.lstsq(np.stack([np.ones_like(rt), 1.0 / rt], axis=1), st, rcond=None)
     limit = float(coef[0])
@@ -338,22 +339,22 @@ def alc_decay_check(fld, fit_fraction=0.3, tol=1e-2):
         shell_sup=sup,
         monotone_decreasing=monotone,
         limit_estimate=limit,
-        looks_alc=bool(abs(limit) <= tol),
+        looks_alc=bool(abs(limit) <= 1e-2),
     )
 
 
 # chart transfer
 
 
-def radial_to_cartesian(u, grid, tol=1e-12):
+def radial_to_cartesian(u, grid):
     """Resample a radial graph as height values on a Cartesian box grid.
 
     A spacelike graph meets each vertical line exactly once (the cone
     property), so for every node x there is a unique Lorentz distance
     ell with ln(ell) = u at the chart point the line hits. Bisection on
-    ln(ell) finds it; the height is then sqrt(ell^2 + |x|^2). Accepts an
-    analytic graph or a sampled polar field; the sampled case requires
-    the box to sit inside the chart radius actually covered.
+    ln(ell) finds it to 1e-12; the height is then sqrt(ell^2 + |x|^2).
+    Accepts an analytic graph or a sampled polar field; the sampled case
+    requires the box to sit inside the chart radius actually covered.
     """
     if grid.m != 2:
         raise UsageError("radial charts here are two dimensional")
@@ -404,7 +405,7 @@ def radial_to_cartesian(u, grid, tol=1e-12):
     # bisect in ln(ell); the crossing is unique even though psi need not
     # be monotone, so any sign-change bracket converges to it
     width = float(z_hi[0, 0] - z_lo[0, 0])
-    n_iter = int(np.ceil(np.log2(width / tol))) + 1
+    n_iter = int(np.ceil(np.log2(width / 1e-12))) + 1
     for _ in range(n_iter):
         z_mid = 0.5 * (z_lo + z_hi)
         neg = psi(z_mid) < 0.0

@@ -8,9 +8,11 @@ sectioned `key = value` file; the subcommand's section enters argv as
 abbreviated, so a config key must name its flag exactly.
 
 Exit codes follow one contract across subcommands: 0 success, 2 a
-computation failed to converge or broke down, 3 an output violates a
-bound it is guaranteed to satisfy (which flags a kernel bug, not bad
-luck), 64 malformed flags or config, 66 a missing input file.
+computation failed to converge or broke down, 3 a check failed, 64
+malformed flags, config or output paths, 66 a missing input file. Exit 3
+from `willmore` or `identities` flags a kernel bug, as their bounds hold
+for every valid input; from `check-h` (the data fails a hypothesis) or
+`growth` (the L^p mass plateaus) it is a property of the input.
 """
 
 import argparse
@@ -355,11 +357,22 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _make_output_dirs(ns):
+    """Create the directory of each output file (the --*-file flags) up front;
+    an output path that cannot be a file is a usage error, not a missing input."""
+    for path in (os.path.join(ns.outdir, v) for k, v in vars(ns).items() if k.endswith("_file")):
+        try:
+            os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+        except OSError as exc:
+            raise UsageError("cannot create the directory of output %s: %s" % (path, exc)) from None
+        if os.path.isdir(path):
+            raise UsageError("output %s is a directory" % path)
+
+
 def make_parser():
     positive = _positive(_finite)
     shared = _Parser(add_help=False)
     shared.add_argument("--config", help="key = value file with one section per command")
-    shared.add_argument("--threads", type=int, help="worker threads (else PMC_THREADS, else 1)")
     shared.add_argument("--outdir", default=".", help="directory for outputs (default .)")
 
     p = _Parser(prog="pmcsurf", description="spacelike graph curvature toolkit")
@@ -391,6 +404,7 @@ def make_parser():
                    help="hyperboloid:l=1, bumped:eps=0.05, saddle, field:<file>")
     w.add_argument("--m", type=int)
     w.add_argument("--R", type=_finite, default=50.0, help="truncation radius")
+    w.add_argument("--threads", type=int, help="worker threads (else PMC_THREADS, else 1)")
     w.add_argument("--report-file", default="willmore_report.json")
 
     g = sub.add_parser("growth", parents=[shared], help="L^p curvature mass on growing balls")
@@ -436,7 +450,7 @@ def main(argv=None):
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
         ns = make_parser().parse_args(_with_config(argv))
-        os.makedirs(ns.outdir, exist_ok=True)
+        _make_output_dirs(ns)
         return _COMMANDS[ns.command](ns)
     except UsageError as exc:
         print("error: %s" % exc, file=sys.stderr)

@@ -245,8 +245,8 @@ def willmore_integral(obj, truncation=50.0, threads=None):
 # geodesic balls
 
 
-def geodesic_distances(fld, center=None):
-    """Shortest-path distances in the graph metric from a center node.
+def geodesic_distances(fld):
+    """Shortest-path distances in the graph metric from the node nearest 0.
 
     Eight-neighbor grid graph with edge lengths sqrt(|dx|^2 - (df)^2),
     the induced length of the chart step. A chamfer approximation of the
@@ -279,9 +279,7 @@ def geodesic_distances(fld, center=None):
         (np.concatenate(lens), (np.concatenate(rows), np.concatenate(cols))),
         shape=(n0 * n1, n0 * n1),
     ).tocsr()
-    if center is None:
-        center = int(np.argmin(g.node_radii()))
-    dist = dijkstra(graph, directed=False, indices=center)
+    dist = dijkstra(graph, directed=False, indices=int(np.argmin(g.node_radii())))
     return dist.reshape(n0, n1)
 
 
@@ -301,7 +299,7 @@ class GaussEstimate:
         return {"rho": self.rho, "lhs": self.lhs, "rhs": self.rhs, "gap": self.gap}
 
 
-def _ball_masses(obj, p, radii, chart_radius=None, center=None):
+def _ball_masses(obj, p, radii, chart_radius=None):
     """Curvature masses of the geodesic balls B_rho, one column per radius.
 
     Returns (m, masses) with four rows: the integrals over B_rho of
@@ -329,7 +327,7 @@ def _ball_masses(obj, p, radii, chart_radius=None, center=None):
 
     else:
         m = obj.grid.m
-        dist = geodesic_distances(obj, center=center)
+        dist = geodesic_distances(obj)
         grad, hess, interior = field_jets(obj)
         phi, H, K, plus = _jet_pointwise(grad[interior], hess[interior])
         dv = float(np.prod(obj.grid.spacing)) / phi
@@ -364,7 +362,7 @@ def hyperboloid_chart_radius(l=1.0):
     return radius
 
 
-def local_gauss_estimate(obj, rho, chart_radius=None, center=None):
+def local_gauss_estimate(obj, rho, chart_radius=None):
     """Compare the L^m norm of H on B_rho with |N(B_rho^+)|^{1/m}.
 
     The Gauss-image measure is the Jacobian integral of K over the
@@ -373,7 +371,7 @@ def local_gauss_estimate(obj, rho, chart_radius=None, center=None):
     chart-round via chart_radius on model surfaces, else shortest-path
     balls on a sampled field.
     """
-    m, masses = _ball_masses(obj, None, [rho], chart_radius, center)
+    m, masses = _ball_masses(obj, None, [rho], chart_radius)
     hm, _, kplus, _ = masses[:, 0]
     return GaussEstimate(rho=float(rho), lhs=float(hm ** (1.0 / m)), rhs=float(kplus ** (1.0 / m)))
 
@@ -398,7 +396,7 @@ class GrowthSeries:
         )
 
 
-def lp_growth(obj, p, radii, chart_radius=None, center=None):
+def lp_growth(obj, p, radii, chart_radius=None):
     """Track ||H||_{L^p(B_rho)} and |N(B_rho^+)| on expanding balls.
 
     For the surfaces of interest with bounded curvature the p <= m mass
@@ -411,7 +409,7 @@ def lp_growth(obj, p, radii, chart_radius=None, center=None):
     radii = np.asarray(sorted(float(r) for r in radii), dtype=float)
     if radii.size < 2:
         raise UsageError("need at least two radii")
-    m, (lp_mass, lm_mass, gauss, vols) = _ball_masses(obj, p, radii, chart_radius, center)
+    m, (lp_mass, lm_mass, gauss, vols) = _ball_masses(obj, p, radii, chart_radius)
     # the absolute floor keeps roundoff-scale masses (flat graphs) from
     # registering as growth
     grew = (lp_mass[-1] - lp_mass[-2]) > 1e-3 * max(lp_mass[-1], 1e-12)

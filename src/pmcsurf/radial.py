@@ -135,6 +135,14 @@ def builtin_identity_graphs():
 # per-point / array kernels on chart components
 
 
+def _jets(graph, s, theta):
+    """(u, u_s, u_t, u_ss, u_st, u_tt) of an analytic graph at chart points."""
+    u = graph.value(s, theta)
+    u_s, u_t = graph.grad(s, theta)
+    u_ss, u_st, u_tt = graph.hess(s, theta)
+    return u, u_s, u_t, u_ss, u_st, u_tt
+
+
 def tilt_components(u_s, u_t, s):
     gamma = gradient_norm_sq(u_s, u_t, s)
     if np.any(gamma >= 1.0):
@@ -194,9 +202,7 @@ def unit_normal(graph, s, theta):
 def second_fundamental_form(graph, s, theta):
     """Second fundamental form in the chart, shape (..., 2, 2)."""
     s = np.asarray(s, dtype=float)
-    u = graph.value(s, theta)
-    u_s, u_t = graph.grad(s, theta)
-    u_ss, u_st, u_tt = graph.hess(s, theta)
+    u, u_s, u_t, u_ss, u_st, u_tt = _jets(graph, s, theta)
     w = tilt_components(u_s, u_t, s)
     D_ss, D_st, D_tt = covariant_hessian_components(u_s, u_t, u_ss, u_st, u_tt, s)
     eu = np.exp(np.asarray(u, float))
@@ -244,6 +250,15 @@ def _metric_derivatives(u, u_s, u_t, u_ss, u_st, u_tt, s):
     return dg
 
 
+def _christoffel(ginv, dg):
+    """Gamma^k_ij = 1/2 g^{kl} (d_i g_jl + d_j g_il - d_l g_ij), dg[a,b,c] = d_a g_bc."""
+    return 0.5 * (
+        np.einsum("...kl,...ijl->...kij", ginv, dg)
+        + np.einsum("...kl,...jil->...kij", ginv, dg)
+        - np.einsum("...kl,...lij->...kij", ginv, dg)
+    )
+
+
 def mean_curvature_int_components(u, u_s, u_t, u_ss, u_st, u_tt, s):
     """H from the intrinsic route via the graph Laplacian of u.
 
@@ -254,13 +269,7 @@ def mean_curvature_int_components(u, u_s, u_t, u_ss, u_st, u_tt, s):
     u = np.asarray(u, dtype=float)
     w = tilt_components(u_s, u_t, s)
     _, ginv = graph_metric(u, u_s, u_t, s)
-    dg = _metric_derivatives(u, u_s, u_t, u_ss, u_st, u_tt, s)
-    # Gamma^k_ij = 1/2 g^{kl} (d_i g_jl + d_j g_il - d_l g_ij), dg[a,b,c] = d_a g_bc
-    gamma = 0.5 * (
-        np.einsum("...kl,...ijl->...kij", ginv, dg)
-        + np.einsum("...kl,...jil->...kij", ginv, dg)
-        - np.einsum("...kl,...lij->...kij", ginv, dg)
-    )
+    gamma = _christoffel(ginv, _metric_derivatives(u, u_s, u_t, u_ss, u_st, u_tt, s))
     ddu = np.empty(np.shape(u) + (2, 2))
     ddu[..., 0, 0] = u_ss
     ddu[..., 0, 1] = ddu[..., 1, 0] = u_st
@@ -274,18 +283,12 @@ def mean_curvature_int_components(u, u_s, u_t, u_ss, u_st, u_tt, s):
 
 def mean_curvature_divergence_form(graph, s, theta):
     s = np.asarray(s, dtype=float)
-    u = graph.value(s, theta)
-    u_s, u_t = graph.grad(s, theta)
-    u_ss, u_st, u_tt = graph.hess(s, theta)
-    return mean_curvature_div_components(u, u_s, u_t, u_ss, u_st, u_tt, s)
+    return mean_curvature_div_components(*_jets(graph, s, theta), s)
 
 
 def mean_curvature_intrinsic(graph, s, theta):
     s = np.asarray(s, dtype=float)
-    u = graph.value(s, theta)
-    u_s, u_t = graph.grad(s, theta)
-    u_ss, u_st, u_tt = graph.hess(s, theta)
-    return mean_curvature_int_components(u, u_s, u_t, u_ss, u_st, u_tt, s)
+    return mean_curvature_int_components(*_jets(graph, s, theta), s)
 
 
 @dataclass
@@ -301,10 +304,8 @@ class CurvatureSample:
 
 
 def curvature_sample(graph, s, theta):
-    s = float(s)
-    theta = float(theta)
-    u = float(graph.value(s, theta))
-    u_s, u_t = (float(v) for v in graph.grad(s, theta))
+    s, theta = float(s), float(theta)
+    u, u_s, u_t, _, _, _ = (float(v) for v in _jets(graph, s, theta))
     w = tilt_components(u_s, u_t, s)
     g, _ = graph_metric(u, u_s, u_t, s)
     II = second_fundamental_form(graph, s, theta)
@@ -323,6 +324,32 @@ def curvature_sample(graph, s, theta):
 # identity residual kernels
 
 
+def _central_differences(fn, x, eps):
+    """Central-difference gradient and Hessian of fn at the point x, O(eps^2).
+
+    (f+ - f-) / (2 eps) for the gradient, (f+ - 2 f0 + f-) / eps^2 on the
+    Hessian diagonal and the four-point mixed difference over 4 eps^2 off it.
+    """
+    x = np.asarray(x, dtype=float)
+    n = x.size
+    E = eps * np.eye(n)
+    f0 = fn(x)
+    fp = [fn(x + E[i]) for i in range(n)]
+    fm = [fn(x - E[i]) for i in range(n)]
+    grad = np.array([(fp[i] - fm[i]) / (2 * eps) for i in range(n)])
+    hess = np.empty((n, n))
+    for i in range(n):
+        hess[i, i] = (fp[i] - 2 * f0 + fm[i]) / eps**2
+        for j in range(i + 1, n):
+            hess[i, j] = hess[j, i] = (
+                fn(x + E[i] + E[j])
+                - fn(x + E[i] - E[j])
+                - fn(x - E[i] + E[j])
+                + fn(x - E[i] - E[j])
+            ) / (4 * eps**2)
+    return grad, hess
+
+
 def laplacian_w_residual(graph, s, theta, step=1e-2):
     """Residual of the tilt Laplacian identity at one chart point.
 
@@ -333,50 +360,15 @@ def laplacian_w_residual(graph, s, theta, step=1e-2):
     s, theta, eps = float(s), float(theta), float(step)
     if s - 2 * eps <= 0:
         raise DomainError("step reaches the pole; evaluate farther out")
-
-    def w_at(sv, tv):
-        us, ut = graph.grad(sv, tv)
-        return tilt_components(us, ut, np.asarray(sv, float))
-
-    def H_at(sv, tv):
-        return mean_curvature_divergence_form(graph, sv, tv)
-
-    u = float(graph.value(s, theta))
-    u_s, u_t = (float(v) for v in graph.grad(s, theta))
-    u_ss, u_st, u_tt = (float(v) for v in graph.hess(s, theta))
-    w = float(w_at(s, theta))
-    H = float(H_at(s, theta))
+    u, u_s, u_t, u_ss, u_st, u_tt = (float(v) for v in _jets(graph, s, theta))
+    w = float(tilt(graph, s, theta))
+    H = float(mean_curvature_divergence_form(graph, s, theta))
     _, ginv = graph_metric(u, u_s, u_t, s)
-    dg = _metric_derivatives(u, u_s, u_t, u_ss, u_st, u_tt, s)
-    gamma = 0.5 * (
-        np.einsum("kl,ijl->kij", ginv, dg)
-        + np.einsum("kl,jil->kij", ginv, dg)
-        - np.einsum("kl,lij->kij", ginv, dg)
-    )
+    gamma = _christoffel(ginv, _metric_derivatives(u, u_s, u_t, u_ss, u_st, u_tt, s))
 
-    def fd1(fn):
-        return np.array(
-            [
-                (fn(s + eps, theta) - fn(s - eps, theta)) / (2 * eps),
-                (fn(s, theta + eps) - fn(s, theta - eps)) / (2 * eps),
-            ]
-        )
-
-    def fd2(fn):
-        f0 = fn(s, theta)
-        d_ss = (fn(s + eps, theta) - 2 * f0 + fn(s - eps, theta)) / eps**2
-        d_tt = (fn(s, theta + eps) - 2 * f0 + fn(s, theta - eps)) / eps**2
-        d_st = (
-            fn(s + eps, theta + eps)
-            - fn(s + eps, theta - eps)
-            - fn(s - eps, theta + eps)
-            + fn(s - eps, theta - eps)
-        ) / (4 * eps**2)
-        return np.array([[d_ss, d_st], [d_st, d_tt]])
-
-    dw = fd1(w_at)
-    ddw = fd2(w_at)
-    dH = fd1(H_at)
+    x = (s, theta)
+    dw, ddw = _central_differences(lambda p: tilt(graph, *p), x, eps)
+    dH, _ = _central_differences(lambda p: mean_curvature_divergence_form(graph, *p), x, eps)
     hess_w = ddw - np.einsum("kij,k->ij", gamma, dw)
     lap_w = np.einsum("ij,ij->", ginv, hess_w)
 
@@ -417,26 +409,20 @@ def hessian_tau_residual(p, step=1e-3):
     eta = np.diag([-1.0] + [1.0] * (n - 1))
     dtau = -(eta @ p) / ell**2
     exact = -eta / ell**2 - 2.0 * np.outer(dtau, dtau)
-    fd = np.empty((n, n))
-    tau0 = log_distance(p)
-    for mu in range(n):
-        emu = np.zeros(n)
-        emu[mu] = eps
-        fd[mu, mu] = (log_distance(p + emu) - 2 * tau0 + log_distance(p - emu)) / eps**2
-        for nu in range(mu + 1, n):
-            enu = np.zeros(n)
-            enu[nu] = eps
-            val = (
-                log_distance(p + emu + enu)
-                - log_distance(p + emu - enu)
-                - log_distance(p - emu + enu)
-                + log_distance(p - emu - enu)
-            ) / (4 * eps**2)
-            fd[mu, nu] = fd[nu, mu] = val
+    _, fd = _central_differences(log_distance, p, eps)
     return float(np.max(np.abs(fd - exact)))
 
 
 # sampled-field paths
+
+
+def _pole_fit(fld):
+    """Gradient, Hessian and tilt at the pole, from the quadratic fit."""
+    grad0, hess0 = pole_quadratic_fit(fld)
+    gamma0 = float(grad0 @ grad0)
+    if gamma0 >= 1.0:
+        raise NotSpacelikeError("|Du| >= 1 at the pole")
+    return grad0, hess0, 1.0 / np.sqrt(1.0 - gamma0)
 
 
 def field_tilt(fld):
@@ -444,11 +430,7 @@ def field_tilt(fld):
     g = fld.grid
     u_s, u_t = polar_gradient(g, fld.matrix())
     w_rings = tilt_components(u_s[1:], u_t[1:], g.s_nodes[1:, None])
-    grad0, _ = pole_quadratic_fit(fld)
-    gamma0 = float(grad0 @ grad0)
-    if gamma0 >= 1.0:
-        raise NotSpacelikeError("|Du| >= 1 at the pole")
-    return ScalarField(g, 1.0 / np.sqrt(1.0 - gamma0), w_rings)
+    return ScalarField(g, _pole_fit(fld)[2], w_rings)
 
 
 def field_mean_curvature(fld, route="divergence"):
@@ -461,17 +443,9 @@ def field_mean_curvature(fld, route="divergence"):
     M = fld.matrix()
     d = polar_jets(g, M)
     s = g.s_nodes[1:, None]
-    fn = (
-        mean_curvature_div_components
-        if route == "divergence"
-        else mean_curvature_int_components
-    )
+    fn = mean_curvature_div_components if route == "divergence" else mean_curvature_int_components
     rings = fn(M[1:], d["u_s"][1:], d["u_t"][1:], d["u_ss"][1:], d["u_st"][1:], d["u_tt"][1:], s)
-    grad0, hess0 = pole_quadratic_fit(fld)
-    gamma0 = float(grad0 @ grad0)
-    if gamma0 >= 1.0:
-        raise NotSpacelikeError("|Du| >= 1 at the pole")
-    w0 = 1.0 / np.sqrt(1.0 - gamma0)
+    grad0, hess0, w0 = _pole_fit(fld)
     lap0 = float(np.trace(hess0))
     quad0 = float(grad0 @ hess0 @ grad0)
     H0 = np.exp(-fld.pole) * ((w0 * lap0 + w0**3 * quad0) / 2.0 + w0)
@@ -490,13 +464,14 @@ class SandwichResult:
         return self.ok
 
 
-def alc_sandwich_check(u, inner_l, outer_l, s_cap=8.0, n_samples=(160, 64)):
+def alc_sandwich_check(u, inner_l, outer_l):
     """Check ln(l) <= u <= ln(L) and spacelikeness on a sample grid.
 
-    Radial graphs pinched between the hyperboloids of radii l and L (and
-    spacelike) have the asymptotically light-cone behavior used by the
-    exterior estimates, so this is the practical ALC certificate for
-    radial data.
+    A sampled field is checked at its nodes, an analytic graph on a
+    160 x 64 polar grid of radius 8. Radial graphs pinched between the
+    hyperboloids of radii l and L (and spacelike) have the asymptotically
+    light-cone behavior used by the exterior estimates, so this is the
+    practical ALC certificate for radial data.
     """
     if not (0 < inner_l <= outer_l):
         raise DomainError("need 0 < l <= L")
@@ -509,9 +484,8 @@ def alc_sandwich_check(u, inner_l, outer_l, s_cap=8.0, n_samples=(160, 64)):
         gamma_pole = float(grad0 @ grad0)
         s_nodes, th_nodes = u.grid.s_nodes, u.grid.theta_nodes
     else:
-        ns, nt = n_samples
-        s_nodes = np.linspace(0.0, s_cap, ns + 1)
-        th_nodes = np.arange(nt) * (2 * np.pi / nt)
+        s_nodes = np.linspace(0.0, 8.0, 161)
+        th_nodes = np.arange(64) * (2 * np.pi / 64)
         S, T = np.meshgrid(s_nodes, th_nodes, indexing="ij")
         vals = u.value(S, T)
         us, ut = u.grad(S, T)

@@ -26,8 +26,7 @@ from scipy.sparse.linalg import spsolve
 
 from .errors import BracketError, ConvergenceError, DomainError, NotSpacelikeError, UsageError
 from .fields import (
-    MAX_NODES, PolarGrid, ScalarField, diff_s, diff_theta, gradient_norm_sq, polar_gradient,
-    polar_jets, pole_gradient,
+    MAX_NODES, PolarGrid, ScalarField, gradient_norm_sq, polar_gradient, polar_jets, pole_gradient,
 )
 
 _M = 2  # PDE grids are two dimensional; the radial oracle accepts any m
@@ -544,12 +543,12 @@ class SolveReport:
         return asdict(self)
 
 
-def bump_field(grid, amp=0.2, width=1.0):
-    """Radial Gaussian bump vanishing at the boundary, handy as a guess."""
+def bump_field(grid, amp=0.2):
+    """Radial Gaussian bump of unit width vanishing at the boundary, handy as a guess."""
     s_max = grid.s_max
 
     def fn(s, th):
-        return amp * np.exp(-((s / width) ** 2)) * (1 - (s / s_max) ** 2)
+        return amp * np.exp(-(s**2)) * (1 - (s / s_max) ** 2)
 
     return ScalarField.from_function(grid, fn)
 
@@ -771,26 +770,33 @@ def radial_ode_oracle(H, s_max, step=None, boundary=0.0, bracket=None, m=2):
 # conformal disk chart residual
 
 
-def _chart_jets(u, i_lo, i_hi):
-    """Euclidean disk-coordinate jets of a polar-grid field on rings i_lo..i_hi."""
+def poincare_residual(u, H):
+    """Max-norm residual of the equation in the conformal disk chart.
+
+    Evaluates the quasilinear second order operator with the
+    disk-coordinate coefficient functions, from Euclidean disk-coordinate
+    jets of the field on the inner half of the rings. It vanishes to
+    second order on converged polar-grid solutions, in a chart none of the
+    solver machinery touches. Nodes with 1 - |x|^2 below 1e-12 are excluded.
+    """
+    if isinstance(H, (int, float)):
+        H = constant_curvature(H)
     g = u.grid
+    m = _M
+    sel = slice(1, min(max(2, g.n_s // 2), g.n_s - 1) + 1)
     M = u.matrix()
-    sel = slice(i_lo, i_hi + 1)
+    Mv = M[sel]
     jets = polar_jets(g, M)
-    us, uss, ust = jets["u_s"][sel], jets["u_ss"][sel], jets["u_st"][sel]
-    ut_m, utt_m = jets["u_t"][sel], jets["u_tt"][sel]
+    us, ut_m, uss, ust, utt_m = (jets[k][sel] for k in ("u_s", "u_t", "u_ss", "u_st", "u_tt"))
     sc = g.s_nodes[sel][:, None]
     lam = 2 * np.cosh(sc / 2) ** 2
-    lam_s = np.sinh(sc)
     rho = np.tanh(sc / 2)
-    u_rho = lam * us
-    u_rr = lam * (lam_s * us + lam * uss)
-    u_rt = lam * ust
-    z_r = u_rho
+    # chart jets in disk polar coordinates (rho, theta), then Cartesian
+    z_r = lam * us
     z_t = ut_m / rho
-    h_rr = u_rr
-    h_rt = u_rt / rho - ut_m / rho**2
-    h_tt = utt_m / rho**2 + u_rho / rho
+    h_rr = lam * (np.sinh(sc) * us + lam * uss)
+    h_rt = lam * ust / rho - ut_m / rho**2
+    h_tt = utt_m / rho**2 + z_r / rho
     cth = np.cos(g.theta_nodes)[None, :]
     sth = np.sin(g.theta_nodes)[None, :]
     z1 = z_r * cth - z_t * sth
@@ -798,75 +804,21 @@ def _chart_jets(u, i_lo, i_hi):
     H11 = h_rr * cth**2 - 2 * h_rt * cth * sth + h_tt * sth**2
     H12 = (h_rr - h_tt) * cth * sth + h_rt * (cth**2 - sth**2)
     H22 = h_rr * sth**2 + 2 * h_rt * cth * sth + h_tt * cth**2
-    x1 = rho * cth
-    x2 = rho * sth
-    return M[sel], lam, rho, (z1, z2), (H11, H12, H22), (x1, x2), sc
-
-
-def poincare_residual(u, H, form="nondiv", details=False):
-    """Max-norm residual of the equation in the conformal disk chart.
-
-    form="nondiv" evaluates the quasilinear second order operator with the
-    disk-coordinate coefficient functions; form="divergence" re-derives the
-    flux divergence numerically in the disk chart. Both vanish to second
-    order on converged polar-grid solutions, in a chart none of the solver
-    machinery touches. Nodes with 1 - |x|^2 below 1e-12 are excluded.
-    """
-    if isinstance(H, (int, float)):
-        H = constant_curvature(H)
-    g = u.grid
-    i_hi = min(max(2, g.n_s // 2), g.n_s - 1)  # the inner half of the rings
-    m = _M
-    if form == "nondiv":
-        Mv, lam, rho, (z1, z2), (H11, H12, H22), (x1, x2), sc = _chart_jets(u, 1, i_hi)
-        zsq = z1**2 + z2**2
-        q = 1.0 - zsq / lam**2
-        keep = np.broadcast_to((1 - rho**2 > 1e-12) & (q > 1e-12), Mv.shape)
-        if not keep.any():
-            raise NotSpacelikeError("no usable chart nodes")
-        th = np.broadcast_to(g.theta_nodes[None, :], Mv.shape)
-        hv = np.asarray(H.hbar(Mv, sc, th), dtype=float)
-        a11 = q + z1**2 / lam**2
-        a22 = q + z2**2 / lam**2
-        a12 = z1 * z2 / lam**2
-        b1 = lam * ((m - 2) - (m - 1) * zsq / lam**2) * x1
-        b2 = lam * ((m - 2) - (m - 1) * zsq / lam**2) * x2
-        f = m * lam**2 * (q**1.5 * np.exp(Mv) * hv - q)
-        res = a11 * H11 + 2 * a12 * H12 + a22 * H22 + b1 * z1 + b2 * z2 - f
-        out = float(np.abs(res[keep]).max())
-        if details:
-            return {"residual": out, "excluded": int(keep.size - keep.sum()), "rings": i_hi}
-        return out
-    if form != "divergence":
-        raise UsageError("form must be 'nondiv' or 'divergence'")
-    # flux divergence assembled from the chart jets on a wider ring band
-    i_hi = min(i_hi, g.n_s - 2)
-    Mv, lam, rho, (z1, z2), _, (x1, x2), sc = _chart_jets(u, 1, i_hi + 1)
     zsq = z1**2 + z2**2
     q = 1.0 - zsq / lam**2
-    if float(q.min()) <= 1e-12:
-        raise NotSpacelikeError("chart slope reaches the light cone")
-    w = 1.0 / np.sqrt(q)
-    cth = np.cos(g.theta_nodes)[None, :]
-    sth = np.sin(g.theta_nodes)[None, :]
-    f_r = w * (z1 * cth + z2 * sth)
-    f_t = w * (-z1 * sth + z2 * cth)
-    P = np.zeros((i_hi + 2, g.n_theta))
-    P[1:] = rho * f_r
-    lam_in = lam[: i_hi]
-    rho_in = rho[: i_hi]
-    div = lam_in / rho_in * diff_s(P, g.ds)[1:-1] + diff_theta(f_t[: i_hi], g.dtheta) / rho_in
-    Mv_in = Mv[: i_hi]
-    th = np.broadcast_to(g.theta_nodes[None, :], Mv_in.shape)
-    hv = np.asarray(H.hbar(Mv_in, sc[: i_hi], th), dtype=float)
-    rhs = m * lam_in**2 * (np.exp(Mv_in) * hv - w[: i_hi]) - (m - 2) * lam_in * w[: i_hi] * (
-        z1[: i_hi] * x1[: i_hi] + z2[: i_hi] * x2[: i_hi]
-    )
-    res = div - rhs
-    out = float(np.abs(res[1:]).max())  # ring 1 needs the pole flux row, skip it
-    if details:
-        return {"residual": out, "excluded": 0, "rings": i_hi}
-    return out
+    keep = np.broadcast_to((1 - rho**2 > 1e-12) & (q > 1e-12), Mv.shape)
+    if not keep.any():
+        raise NotSpacelikeError("no usable chart nodes")
+    th = np.broadcast_to(g.theta_nodes[None, :], Mv.shape)
+    hv = np.asarray(H.hbar(Mv, sc, th), dtype=float)
+    a11 = q + z1**2 / lam**2
+    a22 = q + z2**2 / lam**2
+    a12 = z1 * z2 / lam**2
+    b1 = lam * ((m - 2) - (m - 1) * zsq / lam**2) * (rho * cth)
+    b2 = lam * ((m - 2) - (m - 1) * zsq / lam**2) * (rho * sth)
+    f = m * lam**2 * (q**1.5 * np.exp(Mv) * hv - q)
+    res = a11 * H11 + 2 * a12 * H12 + a22 * H22 + b1 * z1 + b2 * z2 - f
+    return float(np.abs(res[keep]).max())
 
 
 # ---------------------------------------------------------------------------

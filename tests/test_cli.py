@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 import warnings
@@ -12,6 +13,8 @@ from pmcsurf import fieldio
 from pmcsurf.cartesian import affine, hyperboloid, surface_field
 from pmcsurf.cli import main
 from pmcsurf.fields import BoxGrid
+
+_SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 def _read_json(path):
@@ -151,6 +154,28 @@ def test_missing_inputs_exit_66(tmp_path):
     assert main(["solve", "--H", "table:%s/nope.csv" % tmp_path, "--smax", "2"]) == 66
     assert main(["solve", "--config", str(tmp_path / "nope.conf")]) == 66
     assert main(["willmore", "--surface", "field:%s/nope.box" % tmp_path]) == 66
+
+
+def test_output_paths_are_created_or_refused_with_64(tmp_path, capsys):
+    afile = tmp_path / "afile"
+    afile.write_text("")
+    assert main(["check-h", "--H", "const:1", "--outdir", str(afile)]) == 64
+    assert str(afile) in capsys.readouterr().err
+    # the directory part of an output name is created as --outdir is
+    d = str(tmp_path)
+    assert main(["check-h", "--H", "const:1", "--report-file", "nodir/x.json", "--outdir", d]) == 0
+    assert _read_json(tmp_path / "nodir" / "x.json")["passes"]["H1"]
+    assert main(["check-h", "--H", "const:1", "--report-file", "afile/x.json", "--outdir", d]) == 64
+    assert main(["check-h", "--H", "const:1", "--report-file", "nodir", "--outdir", d]) == 64
+
+
+def test_threads_is_a_willmore_flag_only(tmp_path):
+    d = str(tmp_path)
+    assert main(["solve", "--H", "const:1", "--smax", "2", "--grid", "8x16", "--threads", "2",
+                 "--outdir", d]) == 64
+    conf = tmp_path / "run.conf"
+    conf.write_text("[check-h]\nH = const:1\nthreads = 2\n")
+    assert main(["check-h", "--config", str(conf), "--outdir", d]) == 64
 
 
 def test_solve_nonconvergence_exit_2(tmp_path):
@@ -329,10 +354,18 @@ def test_threads_env_fallback(tmp_path, monkeypatch):
     assert rc == 0
 
 
+def _src_env():
+    """The environment with this checkout's src first on PYTHONPATH."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, env.get("PYTHONPATH")]))
+    return env
+
+
 def test_cli_import_leaves_interpolate_and_optimize_unloaded():
     code = ("import sys, pmcsurf.cli; print(sorted(m for m in sys.modules"
             " if m.startswith(('scipy.interpolate', 'scipy.optimize'))))")
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=_src_env())
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
 
@@ -341,7 +374,7 @@ def test_console_entry_point(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-m", "pmcsurf.cli", "check-h", "--H", "const:1",
          "--outdir", str(tmp_path)],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=_src_env(),
     )
     assert proc.returncode == 0
     assert "check-h: const:1 passes" in proc.stdout
@@ -431,5 +464,5 @@ def test_any_argv_keeps_the_exit_code_contract(tmp_path, run):
     assert rc in (0, 2, 3, 64, 66)
     if any(v in _BAD for v in list(flags.values()) + list(keys.values())):
         assert rc == 64
-    if keys.keys() - _FLAGS[cmd].keys() - {"threads"}:
+    if keys.keys() - _FLAGS[cmd].keys():
         assert rc == 64

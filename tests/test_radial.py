@@ -228,6 +228,19 @@ def test_laplacian_w_residual_convergence_order():
         assert order > 1.9, (name, r_coarse, r_fine, order)
 
 
+@pytest.mark.parametrize("n", [2, 3])
+def test_central_differences_exact_on_quadratics(n):
+    # central differences of a quadratic carry no truncation error, only rounding
+    rng = np.random.default_rng(n)
+    A = rng.normal(size=(n, n))
+    A = A + A.T
+    b = rng.normal(size=n)
+    x = rng.normal(size=n)
+    grad, hess = radial._central_differences(lambda p: 0.5 * p @ A @ p + b @ p + 0.7, x, 1e-2)
+    assert np.abs(grad - (A @ x + b)).max() < 1e-9
+    assert np.abs(hess - A).max() < 1e-9
+
+
 def test_hessian_tau_residual_small_step():
     assert radial.hessian_tau_residual(np.array([1.0, 0.0, 0.0]), step=1e-4) < 1e-6
     assert radial.hessian_tau_residual(np.array([2.0, 0.3, -0.4]), step=1e-4) < 1e-6

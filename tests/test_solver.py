@@ -394,19 +394,12 @@ def test_poincare_exact_cases():
     assert sv.poincare_residual(zero, 1.0) < 1e-13
     sheet = ScalarField.from_function(g, lambda s, th: np.log(0.8) + 0 * s)
     assert sv.poincare_residual(sheet, sv.constant_curvature(1 / 0.8)) < 1e-12
-    assert sv.poincare_residual(sheet, sv.constant_curvature(1 / 0.8), form="divergence") < 1e-12
-    with pytest.raises(UsageError):
-        sv.poincare_residual(zero, 1.0, form="weak")
 
 
 def test_poincare_residual_refines(H01, solves3):
     res = {n: sv.poincare_residual(f, H01) for n, f in solves3.items()}
     order = np.log2(res[24] / res[48])
     assert order > 1.8
-    div = {n: sv.poincare_residual(f, H01, form="divergence") for n, f in solves3.items()}
-    assert div[24] / div[48] > 3.0
-    det = sv.poincare_residual(solves3[48], H01, details=True)
-    assert det["excluded"] == 0 and det["residual"] == res[48]
 
 
 # ---------------------------------------------------------------------------
