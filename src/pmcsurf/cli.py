@@ -188,6 +188,11 @@ def _parse_surface(spec, m=None):
 # subcommands
 
 
+def _cause(message):
+    """Why Newton stopped, for a stdout line; nothing when it converged at tol."""
+    return " (%s)" % message if message else ""
+
+
 def cmd_solve(ns):
     H = solver.parse_curvature(ns.H)
     n_s, n_th = ns.grid
@@ -206,6 +211,7 @@ def cmd_solve(ns):
     print(
         "solve: converged=%s iterations=%d residual=%.3e u in [%.6f, %.6f]"
         % (rep.converged, rep.iterations, rep.residual_norm, rep.min_u, rep.max_u)
+        + _cause(rep.message)
     )
     return EXIT_OK if rep.converged else EXIT_COMPUTE
 
@@ -229,6 +235,7 @@ def cmd_exhaustion(ns):
     print(
         "exhaustion: %d/%d balls converged, final compact delta %.3e, tilt max %.6f"
         % (sum(r.converged for r in ex.reports), len(ns.radii), final, tilt)
+        + _cause(ex.reports[-1].message)
     )
     return EXIT_OK if ex.converged_all else EXIT_COMPUTE
 

@@ -6,12 +6,13 @@ discretized on a geodesic polar grid. The equation is the divergence form
     div_h(w Du) = m (e^u Hbar(u; q) - w),    w = (1 - |Du|_h^2)^(-1/2),
 
 with Dirichlet data on the boundary circle. The scheme is a finite volume
-balance with tilt factors evaluated on cell faces, solved by damped Newton
-with an analytic Jacobian: a 9-point stencil on the interior nodes plus the
-pole row, filled into a sparse index layout built once per problem.
-Chebyshev collocation of the radial boundary value problem, solved by dense
-Newton, provides an independent oracle for rotationally symmetric data, and
-a residual check in the conformal disk chart cross-validates converged
+balance with tilt factors evaluated on cell faces, with an analytic Jacobian:
+a 9-point stencil on the interior nodes plus the pole row, filled into a
+sparse index layout built once per problem. Chebyshev collocation of the
+radial boundary value problem provides an independent oracle for rotationally
+symmetric data. One damped Newton driver, _newton, solves both: it stops at
+tol or at the round-off floor of the residual and names the cause of any other
+stop. A residual check in the conformal disk chart cross-validates converged
 solutions against a different form of the same operator.
 """
 
@@ -30,7 +31,7 @@ from .fields import (
 )
 
 _M = 2  # PDE grids are two dimensional; the radial oracle accepts any m
-_THETA_MIN = 1e-3  # both Newton solvers keep every slope |Du| <= 1 - _THETA_MIN
+_THETA_MIN = 1e-3  # the PDE and oracle guards of _newton keep every slope |Du| <= 1 - _THETA_MIN
 _EXP_MAX = math.log(sys.float_info.max)  # exp overflows a float past it
 
 
@@ -501,25 +502,6 @@ class DiscreteProblem:
         return coo_matrix((vals, (self._rows, self._cols)), shape=(n, n)).tocsr()
 
 
-def assemble_residual(u, H, boundary=0.0):
-    """Nodewise residual of the discrete equation, as a ScalarField.
-
-    Interior rows hold the finite volume balance evaluated with the field's
-    own boundary ring; the boundary ring of the output holds u - g. Raises
-    NotSpacelikeError only when a slope reaches the light cone; merely
-    violating the solver's safety margin still evaluates.
-    """
-    M = u.matrix()
-    ns, nth = u.grid.n_s, u.grid.n_theta
-    prob = DiscreteProblem(u.grid, H, M[ns])
-    R = prob.residual(prob.restrict(M))
-    g = _as_boundary(boundary, u.grid)
-    out = np.empty((ns, nth))
-    out[: ns - 1] = R[1:].reshape(ns - 1, nth)
-    out[ns - 1] = M[ns] - g
-    return ScalarField(u.grid, float(R[0]), out)
-
-
 # ---------------------------------------------------------------------------
 # damped Newton solver
 
@@ -579,6 +561,49 @@ def _initial_state(prob, u0):
     return x
 
 
+def _newton(x, residual, linearize, spacelike, tol, max_iters):
+    """Damped Newton for residual(x) = 0: the Dirichlet solve and the radial oracle.
+
+    linearize(x, R) returns, from one solve, the Newton step and the step z that
+    rounding in R alone causes (Higham, Accuracy and Stability of Numerical
+    Algorithms, SIAM 2002, ch. 7). Steps are halved, down to 1e-8, until spacelike
+    holds and |R| drops by the factor 1 - alpha / 4; a step within 8 |z| needs no
+    drop. Newton stops at |R| <= tol or after a full step within 8 |z| (Deuflhard,
+    Newton Methods for Nonlinear Problems, Springer 2004). Returns (x, |R|,
+    iterations, damped steps, converged, message); message names the cause of
+    the stop and is "" at tol."""
+    R = residual(x)
+    rn = float(np.abs(R).max())
+    if rn <= tol:
+        return x, rn, 0, 0, True, "converged at the initial state"
+    iterations = damped = 0
+    while iterations < max_iters:
+        step, z = linearize(x, R)
+        if not (np.isfinite(step).all() and np.isfinite(z).all()):
+            return x, rn, iterations, damped, False, "singular Jacobian"
+        at_floor = np.abs(step).max() <= 8.0 * np.abs(z).max()
+        alpha, cause = 1.0, "spacelike-margin breach"
+        while alpha >= 1e-8:
+            xt = x + alpha * step
+            if spacelike(xt):
+                cause = "line search stalled"
+                Rt = residual(xt)
+                rt = float(np.abs(Rt).max())
+                if at_floor or rt <= (1.0 - 0.25 * alpha) * rn or rt <= tol:
+                    break
+            alpha *= 0.5
+        else:
+            return x, rn, iterations, damped, False, cause
+        damped += alpha < 1.0
+        x, R, rn = xt, Rt, rt
+        iterations += 1
+        if rn <= tol:
+            return x, rn, iterations, damped, True, ""
+        if at_floor and alpha == 1.0:
+            return x, rn, iterations, damped, True, "converged at the round-off floor"
+    return x, rn, iterations, damped, False, "max iterations reached"
+
+
 def solve_dirichlet(
     H,
     s_max,
@@ -592,9 +617,8 @@ def solve_dirichlet(
 ):
     """Damped Newton solve of the Dirichlet problem on a geodesic ball.
 
-    Returns (field, report). Iterates are kept inside the spacelike cone,
-    |Du| <= 1 - 1e-3, by step scaling; steps also backtrack until the
-    residual max-norm drops. Non-convergence is reported, not raised.
+    Returns (field, report). Newton runs through _newton, with the rounding
+    floor eps (|J| |x|)_r for row r. Non-convergence is reported, not raised.
     """
     grid = PolarGrid(int(n_s), int(n_theta), float(s_max))
     prob = DiscreteProblem(grid, H, boundary)
@@ -613,52 +637,23 @@ def solve_dirichlet(
     x = _initial_state(prob, u0)
     if prob.slope_sq(x) > guard:
         raise UsageError("initial guess violates the spacelike margin")
-    R = prob.residual(x)
-    rn = float(np.abs(R).max())
-    iterations = 0
-    damping_events = 0
-    converged = rn <= tol
-    message = "converged at the initial state" if converged else ""
-    while not converged and iterations < max_iters:
+
+    def linearize(x, R):
         J = prob.jacobian(x)
-        step = spsolve(J.tocsc(), -R)
-        alpha = 1.0
-        accepted = False
-        while alpha >= 1e-8:
-            xt = x + alpha * step
-            if prob.slope_sq(xt) <= guard:
-                Rt = prob.residual(xt)
-                rt = float(np.abs(Rt).max())
-                if rt <= (1.0 - 0.25 * alpha) * rn or rt <= tol:
-                    accepted = True
-                    break
-            alpha *= 0.5
-        if not accepted:
-            message = "line search stalled"
-            break
-        if alpha < 1.0:
-            damping_events += 1
-        x, R, rn = xt, Rt, rt
-        iterations += 1
-        if rn <= tol:
-            converged = True
-    if not converged and not message:
-        message = "max iterations reached"
+        floor = np.finfo(float).eps * (abs(J) @ np.abs(x))
+        sol = spsolve(J.tocsc(), np.stack([-R, floor], axis=1))
+        return sol[:, 0], sol[:, 1]
+
+    x, rn, iterations, damping_events, converged, message = _newton(
+        x, prob.residual, linearize, lambda x: prob.slope_sq(x) <= guard, tol, max_iters
+    )
     M = prob.expand(x)
     _, _, w_n, w_p = _Slopes(grid, M).tilts()
     report = SolveReport(
-        iterations=iterations,
-        residual_norm=rn,
-        max_w=max(float(w_n.max()), w_p),
-        min_u=float(M.min()),
-        max_u=float(M.max()),
-        converged=bool(converged),
-        damping_events=damping_events,
-        n_s=grid.n_s,
-        n_theta=grid.n_theta,
-        s_max=grid.s_max,
-        tol=tol,
-        message=message,
+        iterations=iterations, residual_norm=rn, max_w=max(float(w_n.max()), w_p),
+        min_u=float(M.min()), max_u=float(M.max()), converged=converged,
+        damping_events=damping_events, n_s=grid.n_s, n_theta=grid.n_theta, s_max=grid.s_max,
+        tol=tol, message=message,
     )
     return ScalarField.from_matrix(grid, M), report
 
@@ -703,11 +698,11 @@ def _barycentric(points, values, q):
 
 
 def _collocate(H, s_max, n, b, v0, m):
-    """Damped Newton for v = u - b at the points s_max cos(j pi / n) from v0(points);
+    """Newton for v = u - b at the points s_max cos(j pi / n) from v0(points);
     D differentiates (Trefethen, Spectral Methods in MATLAB, SIAM 2000, ch. 6).
     F = w^3 u'' + (m - 1) w coth(s) u' - m (Theta(u, |s|) - w) at the inner points,
-    v = 0 at the ends. Steps are damped until max |u'| <= 1 - 1e-3; Newton
-    stops within a few times the step z that rounding in F alone causes."""
+    v = 0 at the ends. The unknowns are the inner values; max |u'| stays within
+    1 - 1e-3, and with tol = 0 Newton stops at the rounding floor of F."""
     j = np.arange(n + 1)
     x, c = np.cos(np.pi * j / n), (-1.0) ** j * np.where(j % n == 0, 2.0, 1.0)
     D = np.outer(c, 1.0 / c) / (x[:, None] - x + np.eye(n + 1))
@@ -716,28 +711,33 @@ def _collocate(H, s_max, n, b, v0, m):
     v, inner = v0(s), slice(1, n)
     s_in, coth = np.abs(s[inner]), 1.0 / np.tanh(s[inner])
     aD, aD2 = np.abs(D[inner]), np.abs(D2[inner])  # for the rounding floor of F
-    for _ in range(50):
-        p, q, u = D @ v, (D2 @ v)[inner], b + v[inner]
-        w = 1.0 / np.sqrt(1.0 - p[inner] ** 2)
-        th = np.asarray(H.theta(u, s_in), dtype=float)
-        F = w**3 * q + (m - 1) * w * coth * p[inner] - m * (th - w)
-        floor = np.finfo(float).eps * (m * (np.abs(th) + w) + w**3 * (aD2 @ np.abs(v))
-                                       + (m - 1) * w * np.abs(coth) * (aD @ np.abs(v)))
-        dF_dp = (3 * p[inner] * w**2 * q + (m - 1) * coth + m * p[inner]) * w**3
+
+    def terms(y):
+        vy = np.concatenate([v[:1], y, v[-1:]])
+        p, q = (D @ vy)[inner], (D2 @ vy)[inner]
+        w = 1.0 / np.sqrt(1.0 - p**2)
+        th = np.asarray(H.theta(b + y, s_in), dtype=float)
+        return vy, p, q, w, th, w**3 * q + (m - 1) * w * coth * p - m * (th - w)
+
+    def linearize(y, F):
+        vy, p, q, w, th, _ = terms(y)
+        floor = np.finfo(float).eps * (m * (np.abs(th) + w) + w**3 * (aD2 @ np.abs(vy))
+                                       + (m - 1) * w * np.abs(coth) * (aD @ np.abs(vy)))
+        dF_dp = (3 * p * w**2 * q + (m - 1) * coth + m * p) * w**3
         J = dF_dp[:, None] * D[inner, inner] + (w**3)[:, None] * D2[inner, inner]
-        J[np.diag_indices(n - 1)] -= m * np.asarray(H.dtheta(u, s_in), dtype=float)
-        step, z = np.linalg.solve(J, np.stack([-F, floor], axis=1)).T
-        if not np.all(np.isfinite(step)):
-            raise ConvergenceError("non-finite collocation Newton step")
-        alpha, dp = 1.0, D[:, inner] @ step
-        while np.abs(p + alpha * dp).max() > 1.0 - _THETA_MIN:
-            alpha *= 0.5
-            if alpha < 1e-8:
-                raise NotSpacelikeError("collocation iterate reaches the light cone")
-        v[inner] += alpha * step
-        if alpha == 1.0 and np.abs(step).max() <= 8.0 * np.abs(z).max():
-            return s, D, v
-    raise ConvergenceError("collocation Newton above its round-off floor after 50 steps")
+        J[np.diag_indices(n - 1)] -= m * np.asarray(H.dtheta(b + y, s_in), dtype=float)
+        return np.linalg.solve(J, np.stack([-F, floor], axis=1)).T
+
+    def spacelike(y):
+        return np.abs(D @ np.concatenate([v[:1], y, v[-1:]])).max() <= 1.0 - _THETA_MIN
+
+    y, _, _, _, converged, message = _newton(v[inner], lambda y: terms(y)[-1], linearize,
+                                             spacelike, 0.0, 50)
+    if not converged:
+        error = NotSpacelikeError if message == "spacelike-margin breach" else ConvergenceError
+        raise error("collocation Newton: %s" % message)
+    v[inner] = y
+    return s, D, v
 
 
 def radial_ode_oracle(H, s_max, step=None, boundary=0.0, bracket=None, m=2):

@@ -24,6 +24,8 @@ def test_tracer_hooks_install_and_record(monkeypatch):
     assert {"solver.linear_solve", "solver.jacobian", "solver.residual", "solver.slope_sq"} <= names
     assert tracer.counts["solver.jacobian.nnz"] > 0
     assert tracer.counts["solver.newton_iters"] == rep.iterations
+    # one linear solve per Newton step: the step and its rounding floor share it
+    assert sum(span[1] == "solver.linear_solve" for span in tracer.spans) == rep.iterations
 
 
 def test_tracer_hooks_cover_the_verifiers(monkeypatch):

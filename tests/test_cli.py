@@ -9,7 +9,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from pmcsurf import fieldio
+from pmcsurf import fieldio, solver
 from pmcsurf.cartesian import affine, hyperboloid, surface_field
 from pmcsurf.cli import main
 from pmcsurf.fields import BoxGrid
@@ -185,7 +185,7 @@ def test_solve_nonconvergence_exit_2(tmp_path):
     assert rc == 2
     rep = _read_json(tmp_path / "solve_report.json")
     assert rep["converged"] is False
-    assert rep["message"]
+    assert rep["message"] == "max iterations reached"
 
 
 def test_config_file_flags_override(tmp_path):
@@ -269,15 +269,20 @@ def test_exhaustion_outputs(tmp_path):
         assert fld.grid.s_max == pytest.approx(r)
 
 
-def test_exhaustion_partial_report_on_failure(tmp_path):
+def test_exhaustion_partial_report_on_failure(tmp_path, monkeypatch, capsys):
+    # one Newton step is too few for the first ball
+    solve = solver.solve_dirichlet
+    monkeypatch.setattr(solver, "solve_dirichlet", lambda *a, **kw: solve(*a, **{**kw, "max_iters": 1}))
     d = str(tmp_path)
     rc = main(["exhaustion", "--H", "rational:0.1", "--radii", "1:3",
-               "--ds", "0.125", "--ntheta", "24", "--tol", "1e-18", "--outdir", d])
+               "--ds", "0.125", "--ntheta", "24", "--outdir", d])
     assert rc == 2
     rep = _read_json(tmp_path / "exhaustion_report.json")
     assert rep["failure_index"] == 0
     assert rep["field_files"] == []
     assert rep["reports"][0]["converged"] is False
+    assert rep["reports"][0]["message"] == "max iterations reached"
+    assert capsys.readouterr().out.rstrip().endswith("(max iterations reached)")
 
 
 def test_willmore_hyperboloid(tmp_path):

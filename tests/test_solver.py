@@ -147,15 +147,21 @@ def test_fd_fallback_matches_analytic():
 # discrete residual
 
 
+def _residual(u, H):
+    """Discrete residual of the field u, with its own boundary ring as the data."""
+    M = u.matrix()
+    prob = sv.DiscreteProblem(u.grid, H, M[u.grid.n_s])
+    return prob.residual(prob.restrict(M))
+
+
 def test_residual_exact_zero_cases():
     g = PolarGrid(16, 32, 2.0)
     zero = ScalarField.zeros(g)
-    assert np.abs(sv.assemble_residual(zero, sv.constant_curvature(1.0)).matrix()).max() == 0.0
-    assert np.abs(sv.assemble_residual(zero, sv.rational_curvature(0.0)).matrix()).max() == 0.0
+    assert np.abs(_residual(zero, sv.constant_curvature(1.0))).max() == 0.0
+    assert np.abs(_residual(zero, sv.rational_curvature(0.0))).max() == 0.0
     l0 = 0.8
     sheet = ScalarField.from_function(g, lambda s, th: np.log(l0) + 0 * s)
-    r = sv.assemble_residual(sheet, sv.constant_curvature(1 / l0), boundary=np.log(l0))
-    assert np.abs(r.matrix()).max() < 1e-14
+    assert np.abs(_residual(sheet, sv.constant_curvature(1 / l0))).max() < 1e-14
 
 
 def test_residual_matches_analytic_curvature():
@@ -165,7 +171,7 @@ def test_residual_matches_analytic_curvature():
     for n_s, n_th in [(24, 48), (48, 96)]:
         g = PolarGrid(n_s, n_th, 2.0)
         u = ScalarField.from_function(g, graph.value)
-        R = sv.assemble_residual(u, sv.constant_curvature(1.0)).rings[: n_s - 1]
+        R = _residual(u, sv.constant_curvature(1.0))[1:].reshape(n_s - 1, n_th)
         s = g.s_nodes[1:n_s][:, None]
         th = g.theta_nodes[None, :]
         H_true = radial.mean_curvature_divergence_form(graph, s + 0 * th, th + 0 * s)
@@ -178,11 +184,10 @@ def test_residual_matches_analytic_curvature():
 def test_residual_margin_not_fatal():
     g = PolarGrid(12, 24, 2.0)
     steep = ScalarField.from_function(g, lambda s, th: 0.9985 * s + 0 * th)
-    out = sv.assemble_residual(steep, sv.constant_curvature(1.0))
-    assert np.isfinite(out.matrix()).all()
+    assert np.isfinite(_residual(steep, sv.constant_curvature(1.0))).all()
     cone = ScalarField.from_function(g, lambda s, th: 1.5 * s + 0 * th)
     with pytest.raises(NotSpacelikeError):
-        sv.assemble_residual(cone, sv.constant_curvature(1.0))
+        _residual(cone, sv.constant_curvature(1.0))
 
 
 def test_jacobian_matches_finite_differences(H01):
@@ -260,6 +265,60 @@ def test_solve_nonconvergence_is_reported():
     assert not rep.converged
     assert rep.message
     assert rep.iterations <= 1
+
+
+def _sqrt2(x, R):
+    """Newton step for x^2 = 2 and the step that rounding in x^2 - 2 causes."""
+    return -R / (2 * x), np.finfo(float).eps * (x**2 + 2) / (2 * x)
+
+
+@pytest.mark.parametrize(
+    "x0, residual, linearize, spacelike, max_iters, converged, message",
+    [
+        ([3.0], lambda x: x - 3, None, None, 5, True, "converged at the initial state"),
+        ([1.0], lambda x: x - 3, lambda x, R: (-R, 0 * R), None, 5, True, ""),
+        ([1.0], lambda x: x**2 - 2, _sqrt2, None, 50, True, "converged at the round-off floor"),
+        ([1.0, 2.0], lambda x: x - 3, lambda x, R: (np.full(2, np.nan), 0 * R), None, 5,
+         False, "singular Jacobian"),
+        ([1.0], lambda x: x - 3, lambda x, R: (-R, 0 * R), lambda x: False, 5,
+         False, "spacelike-margin breach"),
+        ([1.0, 2.0], lambda x: np.ones(2), lambda x, R: (-R, 0 * R), None, 5,
+         False, "line search stalled"),
+        ([1.0], lambda x: x**2 - 2, _sqrt2, None, 2, False, "max iterations reached"),
+    ],
+)
+def test_newton_names_why_it_stopped(x0, residual, linearize, spacelike, max_iters, converged,
+                                     message):
+    # tol = 0: only an exact zero converges at tol
+    x0 = np.array(x0)
+    out = sv._newton(x0, residual, linearize, spacelike or (lambda x: True), 0.0, max_iters)
+    x, rn, iterations, damped, ok, why = out
+    assert (ok, why) == (converged, message)
+    assert rn == np.abs(residual(x)).max()
+    assert iterations <= max_iters and damped <= iterations
+    if message == "converged at the round-off floor":
+        assert abs(x[0] - np.sqrt(2)) <= 4 * np.finfo(float).eps
+    if not ok and iterations == 0:
+        assert x is x0
+
+
+def test_fourier_data_converges_at_the_round_off_floor():
+    # tol 1e-13 lies below what rounding lets the 32x64 residual reach, so
+    # Newton must stop on its step size
+    t_max = np.tanh(1.5)
+
+    def extension(s, th):
+        r = np.tanh(s / 2) / t_max
+        return 0.3 * r**3 * np.cos(3 * th) + 0.1 * r * np.sin(th)
+
+    fld, rep = sv.solve_dirichlet(
+        sv.rational_curvature(0.1), 3.0, n_s=32, n_theta=64,
+        boundary=lambda th: 0.3 * np.cos(3 * th) + 0.1 * np.sin(th), u0=extension, tol=1e-13,
+        precheck=False,
+    )
+    assert rep.converged
+    assert rep.message == "converged at the round-off floor"
+    assert rep.residual_norm < 1e-12
 
 
 def test_solve_rejects_non_spacelike_guess():
@@ -374,6 +433,13 @@ def test_oracle_requires_radial_data():
     for s_max in (0.0, -1.0, np.inf, np.nan):
         with pytest.raises(UsageError):
             sv.radial_ode_oracle(sv.rational_curvature(0.1), s_max)
+
+
+def test_oracle_reports_a_spacelike_breach(monkeypatch, H01):
+    # a margin of 1 leaves no slope inside the guard, so no Newton trial passes
+    monkeypatch.setattr(sv, "_THETA_MIN", 1.0)
+    with pytest.raises(NotSpacelikeError, match="spacelike-margin breach"):
+        sv.radial_ode_oracle(H01, 3.0)
 
 
 def test_ode_pde_gap_second_order(H01, oracle3, solves3):
