@@ -12,8 +12,8 @@ from .errors import OutOfDomainError, UsageError
 _S_MAX_LIMIT = math.asinh(sys.float_info.max)  # sinh overflows a float past it
 
 # Largest n_s * n_theta of a polar grid: 512x1024. A solve's peak RSS grows
-# about 3x per doubling of both sides (147 MB at 128x256, 453 MB at 256x512),
-# so a solve at the cap needs about 1.5 GB.
+# about 3x per doubling of both sides (117 MB at 128x256, 298 MB at 256x512),
+# and a solve at the cap peaks at about 1.0 GB.
 MAX_NODES = 2**19
 
 

@@ -321,6 +321,74 @@ def test_fourier_data_converges_at_the_round_off_floor():
     assert rep.residual_norm < 1e-12
 
 
+def _fourier_boundary(th):
+    return 0.3 * np.cos(3 * th) + 0.1 * np.sin(th)
+
+
+def test_default_guess_is_the_harmonic_extension(H01):
+    # without u0 the Fourier data starts inside the spacelike margin and converges
+    t_max = np.tanh(1.5)
+    prob = sv.DiscreteProblem(PolarGrid(32, 64, 3.0), H01, _fourier_boundary)
+    x = sv._initial_state(prob, None)
+    closed = sv._initial_state(
+        prob, lambda s, th: 0.3 * (np.tanh(s / 2) / t_max) ** 3 * np.cos(3 * th)
+        + 0.1 * np.tanh(s / 2) / t_max * np.sin(th),
+    )
+    assert np.abs(x - closed).max() < 1e-15
+    assert prob.slope_sq(x) < 0.04
+    fld, rep = sv.solve_dirichlet(H01, 3.0, n_s=32, n_theta=64, boundary=_fourier_boundary,
+                                  precheck=False)
+    assert (rep.converged, rep.iterations, rep.message) == (True, 4, "")
+
+
+@pytest.mark.parametrize("c", [0.0, 0.1, np.log(0.8)])
+def test_default_guess_for_constant_data_is_constant(H01, c):
+    prob = sv.DiscreteProblem(PolarGrid(24, 48, 3.0), H01, c)
+    x = sv._initial_state(prob, None)
+    assert x.tobytes() == np.full(prob.n_unknowns, prob.g.mean()).tobytes()
+
+
+def test_default_guess_beyond_the_margin_is_rejected(H01):
+    with pytest.raises(UsageError, match="spacelike margin"):
+        sv.solve_dirichlet(H01, 3.0, n_s=32, n_theta=64, boundary=lambda th: 3 * np.cos(th),
+                           precheck=False)
+
+
+@pytest.mark.parametrize("radial_state", [True, False], ids=["radial", "fourier"])
+def test_ordered_solve_matches_the_default_ordering(H01, radial_state):
+    # the Newton system at 32x64: minimum degree on A + A^T and scipy's
+    # default COLAMD give the same step, and the ordered one is no less accurate
+    grid = PolarGrid(32, 64, 3.0)
+    if radial_state:
+        prob = sv.DiscreteProblem(grid, H01)
+        x = prob.restrict(sv.bump_field(grid).matrix())
+    else:
+        prob = sv.DiscreteProblem(grid, H01, _fourier_boundary)
+        x = sv._initial_state(prob, None)
+    J, R = prob.jacobian(x).tocsc(), prob.residual(x)
+    rhs = np.stack([-R, np.finfo(float).eps * (abs(J) @ np.abs(x))], axis=1)
+    ordered = sv.spsolve(J, rhs, permc_spec="MMD_AT_PLUS_A")[:, 0]
+    default = sv.spsolve(J, rhs)[:, 0]
+    assert np.abs(ordered - default).max() <= 1e-11 * np.abs(default).max()
+    assert np.abs(J @ ordered + R).max() <= np.abs(J @ default + R).max()
+
+
+def test_every_newton_step_orders_for_the_symmetric_stencil(H01, monkeypatch):
+    # the linear solve is the cost of a Newton step; it must keep its ordering
+    calls = []
+    spsolve = sv.spsolve
+
+    def recording_spsolve(A, b, **kwargs):
+        calls.append(kwargs.get("permc_spec"))
+        return spsolve(A, b, **kwargs)
+
+    monkeypatch.setattr(sv, "spsolve", recording_spsolve)
+    fld, rep = sv.solve_dirichlet(H01, 3.0, n_s=16, n_theta=32, boundary=_fourier_boundary,
+                                  precheck=False)
+    assert rep.converged and rep.iterations > 0
+    assert calls == ["MMD_AT_PLUS_A"] * rep.iterations
+
+
 def test_solve_rejects_non_spacelike_guess():
     g = PolarGrid(16, 32, 2.0)
     cone = ScalarField.from_function(g, lambda s, th: 1.5 * s + 0 * th)
