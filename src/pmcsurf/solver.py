@@ -6,11 +6,16 @@ discretized on a geodesic polar grid. The equation is the divergence form
     div_h(w Du) = m (e^u Hbar(u; q) - w),    w = (1 - |Du|_h^2)^(-1/2),
 
 with Dirichlet data on the boundary circle. The scheme is a finite volume
-balance with tilt factors evaluated on cell faces, with an analytic Jacobian:
-a 9-point stencil on the interior nodes plus the pole row, filled into a
-sparse index layout built once per problem. The Jacobian is structurally
-symmetric, so its sparse LU orders the columns by minimum degree on A + A^T
-(SuperLU's MMD_AT_PLUS_A), which halves the fill that the default COLAMD
+balance with tilt factors evaluated on cell faces, with an analytic Jacobian
+kept as its stencil (StencilJacobian): a 9-point coefficient array on the
+interior nodes plus the pole row, filled once per Newton step. Each step makes
+one linear solve, spsolve. Rotationally symmetric data keeps every iterate
+radial, and then no coefficient varies along theta: a real FFT in theta
+splits the system into one tridiagonal system per Fourier mode, solved by
+one sweep over the rings. Any other stencil is laid out on a sparse index
+layout built once per problem and factored by SuperLU; the Jacobian is
+structurally symmetric, so the LU orders the columns by minimum degree on
+A + A^T (MMD_AT_PLUS_A), which halves the fill that the default COLAMD
 leaves. Chebyshev collocation of the radial boundary value problem provides
 an independent oracle for rotationally symmetric data. One damped Newton
 driver, _newton, solves both: it stops at tol or at the round-off floor of the
@@ -26,7 +31,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 from scipy.sparse import coo_matrix
-from scipy.sparse.linalg import spsolve
+from scipy.sparse.linalg import spsolve as _scipy_spsolve
 
 from .errors import BracketError, ConvergenceError, DomainError, NotSpacelikeError, UsageError
 from .fields import (
@@ -450,7 +455,7 @@ class DiscreteProblem:
         return R
 
     def jacobian(self, x):
-        """Analytic linearization of residual(), as a CSR matrix.
+        """Analytic linearization of residual(), as a StencilJacobian.
 
         A 9-point stencil fill: C[1 + di, 1 + dj] couples interior node
         (i, j) to node (i + di, j + dj). Each face's flux derivative is laid
@@ -500,9 +505,144 @@ class DiscreteProblem:
         ring1 = F0[1, 1] + np.roll(F0[1, 2], 1) + np.roll(F0[1, 0], -1)
         ring1 += _M * w_p**3 * (sl.pa * np.cos(th) + sl.pb * np.sin(th)) * 2.0 / (nth * ds)
 
-        vals = np.concatenate([C.ravel(), [pole], ring1])[self._keep]
-        n = self.n_unknowns
-        return coo_matrix((vals, (self._rows, self._cols)), shape=(n, n)).tocsr()
+        return StencilJacobian(self, C, pole, ring1)
+
+
+# a coefficient that varies along theta by at most this share of the largest
+# coefficient of its ring is theta-invariant: filling it rounds it by a few eps
+# already, so its theta-mean perturbs each row of J by no more than that
+_SPREAD_TOL = 8 * np.finfo(float).eps
+
+
+class StencilJacobian:
+    """The Jacobian of a DiscreteProblem, kept as its stencil.
+
+    C[1 + di, 1 + dj, i, j] couples interior node (ring i + 1, angle j) to
+    node (i + 1 + di, j + dj); pole is the pole row's diagonal entry and
+    ring1[j] its coupling to ring 1. As a matrix, ring 1's three couplings
+    to the pole merge into one entry and the last ring's couplings to the
+    boundary drop out. tocsr() lays the stencil out on the problem's sparse
+    index layout; apply() and fft_solve() work on the stencil itself.
+    """
+
+    def __init__(self, prob, C, pole, ring1):
+        self._prob = prob
+        self.C, self.pole, self.ring1 = C, pole, ring1
+
+    @property
+    def nnz(self):
+        """Stored entries of tocsr(): n_theta >= 8 keeps a row's three angles apart."""
+        n_rings, nth = self.C.shape[2:]
+        return 9 * n_rings * nth - 4 * nth + 1
+
+    def tocsr(self):
+        p, n = self._prob, self._prob.n_unknowns
+        vals = np.concatenate([self.C.ravel(), [self.pole], self.ring1])[p._keep]
+        return coo_matrix((vals, (p._rows, p._cols)), shape=(n, n)).tocsr()
+
+    def tocsc(self):
+        return self.tocsr().tocsc()
+
+    def toarray(self):
+        return self.tocsr().toarray()
+
+    def apply(self, v, absolute=False):
+        """J v, or |J| v (every matrix entry in absolute value) when absolute."""
+        C, pole, ring1 = self.C, self.pole, self.ring1
+        to_pole = C[0, :, 0].sum(axis=0)  # ring 1's merged pole entries
+        if absolute:
+            C, pole, ring1, to_pole = np.abs(C), abs(pole), np.abs(ring1), np.abs(to_pole)
+        n_rings, nth = C.shape[2:]
+        V = v[1:].reshape(n_rings, nth)
+        out = np.zeros((n_rings, nth))
+        for b in range(3):
+            S = np.roll(V, 1 - b, axis=1)  # S[:, j] = V[:, j + b - 1]
+            out[1:] += C[0, b, 1:] * S[:-1]
+            out += C[1, b] * S
+            out[:-1] += C[2, b, :-1] * S[1:]
+        out[0] += to_pole * v[0]
+        return np.concatenate([[pole * v[0] + ring1 @ V[0]], out.ravel()])
+
+    def theta_invariant(self):
+        """No coefficient varies along theta by more than _SPREAD_TOL of the
+        largest one of its ring (for the pole row: of the pole row)."""
+        C, ring1 = self.C, self.ring1
+        if np.ptp(ring1) > _SPREAD_TOL * max(abs(self.pole), np.abs(ring1).max()):
+            return False
+        spread = np.ptp(C, axis=3).max(axis=(0, 1))
+        return bool((spread <= _SPREAD_TOL * np.abs(C).max(axis=(0, 1, 3))).all())
+
+    def fft_solve(self, b):
+        """J x = b, b of shape (n,) or (n, k), for a theta-invariant stencil;
+        None for any other stencil.
+
+        A real FFT along theta splits J into one tridiagonal system in the
+        ring index per Fourier mode, from the theta-means of the coefficients
+        (Swarztrauber & Sweet, SIAM J. Numer. Anal. 10 (1973); Lai & Wang,
+        Numer. Methods PDE 18 (2002)). The pole row borders mode 0 and sees
+        ring 1 only through its sum; the unknown it adds is n_theta times the
+        pole value, which keeps both rows diagonally dominant. One elimination
+        sweep over the rings solves every mode and right-hand side at once,
+        without pivoting, so it also returns None unless every mode system is
+        diagonally dominant, where that is stable (Higham, Accuracy and
+        Stability of Numerical Algorithms, SIAM 2002, ch. 9).
+        """
+        if not self.theta_invariant():
+            return None
+        nth = self.C.shape[3]
+        cbar, r1bar = self.C.mean(axis=3), self.ring1.mean()
+        # angle j + d carries mode k of angle j times exp(2 pi i d k / n_theta)
+        k = np.arange(nth // 2 + 1)
+        phase = np.exp(2j * np.pi * np.outer([-1, 0, 1], k) / nth)
+        coef = np.einsum("abi,bk->aik", cbar, phase)
+        # sweep row 0 is the pole row on mode 0 and the identity on the others
+        lo, di, up = (np.concatenate([np.zeros((1, k.size)), c]) for c in coef)
+        di[0, 0], di[0, 1:], up[0, 0] = self.pole / nth, 1.0, r1bar
+        lo[1] = 0.0
+        lo[1, 0] = cbar[0, :, 0].sum()  # ring 1's pole entry
+        up[-1] = 0.0  # the last ring's boundary couplings drop out
+        # dominance up to rounding in each row: where dTheta/dt = 0 (dilation
+        # data) rows sit on the margin, and mode 0 sums its row to near zero
+        row = np.concatenate([[abs(self.pole) / nth + abs(r1bar)], np.abs(cbar).sum(axis=(0, 1))])
+        if not (np.abs(lo) + np.abs(up) <= np.abs(di) + _SPREAD_TOL * row[:, None]).all():
+            return None
+        B = b.reshape(b.shape[0], -1)
+        y = np.zeros((di.shape[0], k.size, B.shape[1]), dtype=complex)
+        y[0, 0] = B[0]
+        # with angle 0 split off, a ring constant in b has exactly zero higher
+        # modes, which the radix-5 and -7 FFT passes would leave at rounding level
+        rings = B[1:].reshape(-1, nth, B.shape[1])
+        y[1:] = np.fft.rfft(rings - rings[:, :1], axis=1)
+        y[1:, 0] += nth * rings[:, 0]
+        for i in range(1, di.shape[0]):
+            w = lo[i] / di[i - 1]
+            di[i] -= w * up[i - 1]
+            y[i] -= w[:, None] * y[i - 1]
+        y[-1] /= di[-1][:, None]
+        for i in range(di.shape[0] - 2, -1, -1):
+            y[i] = (y[i] - up[i][:, None] * y[i + 1]) / di[i][:, None]
+        x = np.empty(B.shape)
+        x[0] = y[0, 0].real / nth
+        x[1:] = np.fft.irfft(y[1:], n=nth, axis=1).reshape(-1, B.shape[1])
+        return x.reshape(b.shape)
+
+
+def spsolve(A, b, permc_spec=None):
+    """The Newton step's one linear solve, A x = b.
+
+    A StencilJacobian goes to its fft_solve (rotationally symmetric data and
+    a radial iterate); one that fft_solve declines is laid out as CSC and
+    factored by SuperLU with the column ordering permc_spec. Any other
+    matrix goes to scipy's spsolve unchanged. The function keeps scipy's
+    name because the benchmark's tracer (perfbench/tracing.py) times the
+    linear solve by patching solver.spsolve.
+    """
+    if isinstance(A, StencilJacobian):
+        x = A.fft_solve(b)
+        if x is not None:
+            return x
+        A = A.tocsc()
+    return _scipy_spsolve(A, b, permc_spec=permc_spec)
 
 
 # ---------------------------------------------------------------------------
@@ -653,9 +793,9 @@ def solve_dirichlet(
 
     def linearize(x, R):
         J = prob.jacobian(x)
-        floor = np.finfo(float).eps * (abs(J) @ np.abs(x))
+        floor = np.finfo(float).eps * J.apply(np.abs(x), absolute=True)
         # J is structurally symmetric: minimum degree on A + A^T halves COLAMD's fill
-        sol = spsolve(J.tocsc(), np.stack([-R, floor], axis=1), permc_spec="MMD_AT_PLUS_A")
+        sol = spsolve(J, np.stack([-R, floor], axis=1), permc_spec="MMD_AT_PLUS_A")
         return sol[:, 0], sol[:, 1]
 
     x, rn, iterations, damping_events, converged, message = _newton(
@@ -868,6 +1008,9 @@ class ExhaustionReport:
 
 
 def _psi_records(fld, lam):
+    """Largest psi = w exp(+-lam u) and where it sits. Ties go to the first
+    node in (ring, angle) order, the pole only when it is strictly larger, so
+    a radial solution, exactly constant on each ring, reports angle 0."""
     g = fld.grid
     M = fld.matrix()
     _, _, w, wp = _Slopes(g, M).tilts()

@@ -4,6 +4,8 @@ only in the much slower benchmark self-test."""
 
 from pathlib import Path
 
+import numpy as np
+
 from pmcsurf import integrals, solver
 from pmcsurf.cartesian import hyperboloid, surface_field
 from pmcsurf.fields import BoxGrid
@@ -47,3 +49,21 @@ def test_tracer_hooks_cover_the_verifiers(monkeypatch):
     assert tracer.counts["integrals.jet_points"] > 0
     # the benchmark's integrals.slab span times the Willmore pool items
     assert tracer.counts["util.parallel_map.items"] > 0
+
+
+def test_tracer_sees_one_linear_solve_per_step_on_fourier_data(monkeypatch):
+    # non-radial iterates take the SuperLU path, inside the same traced name
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import tracing
+
+    tracer = tracing.Tracer()
+    with tracer.installed():
+        _, rep = solver.solve_dirichlet(
+            solver.rational_curvature(0.1), 3.0, n_s=16, n_theta=32,
+            boundary=lambda th: 0.3 * np.cos(3 * th) + 0.1 * np.sin(th), precheck=False,
+        )
+    assert rep.converged and rep.iterations > 0
+    assert tracer.counts["solver.newton_iters"] == rep.iterations
+    assert sum(span[1] == "solver.linear_solve" for span in tracer.spans) == rep.iterations
+    assert sum(span[1] == "solver.jacobian" for span in tracer.spans) == rep.iterations
+    assert tracer.counts["solver.jacobian.nnz"] == rep.iterations * (9 * 15 * 32 - 4 * 32 + 1)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.sparse import coo_matrix
 
 from pmcsurf import radial
 from pmcsurf import solver as sv
@@ -389,6 +390,156 @@ def test_every_newton_step_orders_for_the_symmetric_stencil(H01, monkeypatch):
     assert calls == ["MMD_AT_PLUS_A"] * rep.iterations
 
 
+def _radial_state(name):
+    """A DiscreteProblem and a radial state on it: the 32x64 bump, a ball of
+    the 1:8 exhaustion's spacing, and a steep profile near the spacelike margin."""
+    if name == "bump":
+        grid = PolarGrid(32, 64, 3.0)
+        prob = sv.DiscreteProblem(grid, sv.rational_curvature(0.1))
+        return prob, prob.restrict(sv.bump_field(grid).matrix())
+    if name == "exhaustion":
+        grid = PolarGrid(24, 96, 1.0)
+        prob = sv.DiscreteProblem(grid, sv.rational_curvature(0.0931))
+        return prob, prob.restrict(sv.bump_field(grid, amp=-0.05).matrix())
+    grid = PolarGrid(32, 64, 3.0)
+    steep = ScalarField.from_function(grid, lambda s, th: 0.995 * (np.hypot(0.3, s) - 0.3) + 0 * th)
+    M = steep.matrix()
+    prob = sv.DiscreteProblem(grid, sv.rational_curvature(0.1), M[grid.n_s])
+    return prob, prob.restrict(M)
+
+
+def _newton_system(prob, x):
+    J, R = prob.jacobian(x), prob.residual(x)
+    return J, R, np.stack([-R, np.finfo(float).eps * (abs(J.tocsr()) @ np.abs(x))], axis=1)
+
+
+@pytest.mark.parametrize("name", ["bump", "exhaustion", "steep"])
+def test_fft_step_matches_superlu(name):
+    prob, x = _radial_state(name)
+    if name == "steep":
+        assert 0.95 < prob.slope_sq(x) < (1 - 1e-3) ** 2
+    J, R, rhs = _newton_system(prob, x)
+    A = J.tocsc()
+    fft = J.fft_solve(rhs)
+    lu = sv._scipy_spsolve(A, rhs, permc_spec="MMD_AT_PLUS_A")
+    assert (np.abs(fft - lu).max(axis=0) <= 1e-11 * np.abs(lu).max(axis=0)).all()
+    assert np.abs(A @ fft[:, 0] + R).max() <= 4 * np.abs(A @ lu[:, 0] + R).max()
+    assert np.array_equal(sv.spsolve(J, rhs, permc_spec="MMD_AT_PLUS_A"), fft)
+
+
+@pytest.mark.parametrize("radial_state", [True, False], ids=["radial", "fourier"])
+def test_stencil_action_matches_the_matrix(H01, radial_state):
+    if radial_state:
+        prob, x = _radial_state("bump")
+    else:
+        prob = sv.DiscreteProblem(PolarGrid(16, 32, 3.0), H01, _fourier_boundary)
+        x = sv._initial_state(prob, None)
+    J = prob.jacobian(x)
+    A = J.tocsr()
+    v = np.random.default_rng(3).uniform(-1.0, 1.0, x.size)
+    # each row sums at most ten products, so the two orders agree to 16 eps of |A| |v|
+    bound = 16 * np.finfo(float).eps * (abs(A) @ np.abs(v))
+    assert (np.abs(J.apply(np.abs(v), absolute=True) - abs(A) @ np.abs(v)) <= bound).all()
+    assert (np.abs(J.apply(v) - A @ v) <= bound).all()
+
+
+def test_stencil_lays_out_as_the_coo_matrix(H01):
+    prob = sv.DiscreteProblem(PolarGrid(12, 24, 2.0), H01, _fourier_boundary)
+    J = prob.jacobian(sv._initial_state(prob, None))
+    vals = np.concatenate([J.C.ravel(), [J.pole], J.ring1])[prob._keep]
+    n = prob.n_unknowns
+    want = coo_matrix((vals, (prob._rows, prob._cols)), shape=(n, n)).tocsr()
+    got = J.tocsr()
+    assert J.nnz == got.nnz == want.nnz
+    for attr in ("indptr", "indices", "data"):
+        assert getattr(got, attr).tobytes() == getattr(want, attr).tobytes()
+
+
+def _count_superlu(monkeypatch):
+    calls = []
+    scipy_spsolve = sv._scipy_spsolve
+
+    def counting(A, b, **kwargs):
+        calls.append(kwargs.get("permc_spec"))
+        return scipy_spsolve(A, b, **kwargs)
+
+    monkeypatch.setattr(sv, "_scipy_spsolve", counting)
+    return calls
+
+
+def _tilted_curvature():
+    base = sv.rational_curvature(0.1)
+    return sv.PrescribedCurvature(
+        "tilted", lambda t, s, th=0.0: base.hbar(t, s) * (1 + 0.05 * np.cos(th)), radial=False
+    )
+
+
+@pytest.mark.parametrize("case", ["fourier boundary", "tilted curvature"])
+def test_non_radial_newton_systems_go_to_superlu(monkeypatch, case):
+    calls = _count_superlu(monkeypatch)
+    if case == "fourier boundary":
+        H, boundary = sv.rational_curvature(0.1), _fourier_boundary
+    else:
+        H, boundary = _tilted_curvature(), 0.0  # radial data, a curvature that is not
+    fld, rep = sv.solve_dirichlet(H, 3.0, n_s=16, n_theta=32, boundary=boundary, precheck=False)
+    assert rep.converged and rep.iterations > 0
+    assert calls == ["MMD_AT_PLUS_A"] * rep.iterations
+
+
+@pytest.mark.parametrize("share, fft", [(0.99, True), (1.01, False)])
+def test_spread_bound_decides_the_path(monkeypatch, share, fft):
+    prob, x = _radial_state("bump")
+    J, R, rhs = _newton_system(prob, x)
+    assert np.ptp(J.C, axis=3).max() == 0.0 and np.ptp(J.ring1) == 0.0
+    # an angular coupling of ring 5 moves at one angle by share times the bound
+    scale = np.abs(J.C[:, :, 5]).max()
+    J.C[1, 0, 5, 7] += share * sv._SPREAD_TOL * scale
+    assert J.theta_invariant() == fft
+    calls = _count_superlu(monkeypatch)
+    step = sv.spsolve(J, rhs, permc_spec="MMD_AT_PLUS_A")
+    assert len(calls) == (0 if fft else 1)
+    lu = sv._scipy_spsolve(J.tocsc(), rhs, permc_spec="MMD_AT_PLUS_A")
+    assert (np.abs(step - lu).max(axis=0) <= 1e-11 * np.abs(lu).max(axis=0)).all()
+
+
+def test_fft_solve_declines_mode_systems_without_diagonal_dominance(monkeypatch):
+    # ten times the radial couplings, the same at every angle: theta-invariant
+    # but not diagonally dominant, so elimination without pivoting is not safe
+    prob, x = _radial_state("bump")
+    J, R, rhs = _newton_system(prob, x)
+    J.C[[0, 2], 1] *= 10.0
+    assert J.theta_invariant() and J.fft_solve(rhs) is None
+    calls = _count_superlu(monkeypatch)
+    step = sv.spsolve(J, rhs, permc_spec="MMD_AT_PLUS_A")
+    assert calls == ["MMD_AT_PLUS_A"]
+    assert np.abs(J.tocsc() @ step[:, 0] - rhs[:, 0]).max() < 1e-8 * np.abs(rhs[:, 0]).max()
+
+
+def test_dilation_data_on_the_dominance_margin_takes_the_fft_path(monkeypatch):
+    # dTheta/dt = 0 leaves every row exactly on the margin of diagonal dominance,
+    # and mode 0 sums ring 1's row to near zero: the check must allow rounding
+    calls = _count_superlu(monkeypatch)
+    fld, rep = sv.solve_dirichlet(sv.dilation_curvature(), 2.0, n_s=20, n_theta=40,
+                                  boundary=0.2, u0=0.1, precheck=False)
+    assert rep.converged and rep.iterations > 0
+    assert calls == []
+
+
+def test_radial_solve_never_calls_superlu_and_keeps_rings_constant(H01, monkeypatch):
+    calls = _count_superlu(monkeypatch)
+    unit = sv.constant_curvature(1.0)
+    # 40 and 120 angles take FFT passes of radix 5, which round a constant ring's
+    # higher modes unless they are split off
+    for H, n_theta, boundary, u0 in ((H01, 64, 0.0, None), (H01, 64, 0.05, None),
+                                     (unit, 40, 0.05, None), (unit, 120, 0.0, -0.2)):
+        fld, rep = sv.solve_dirichlet(H, 3.0, n_s=32, n_theta=n_theta, boundary=boundary,
+                                      u0=u0, precheck=False)
+        assert rep.converged and rep.iterations > 0
+        M = fld.matrix()
+        assert (M.max(axis=1) == M.min(axis=1)).all()
+    assert calls == []
+
+
 def test_solve_rejects_non_spacelike_guess():
     g = PolarGrid(16, 32, 2.0)
     cone = ScalarField.from_function(g, lambda s, th: 1.5 * s + 0 * th)
@@ -563,6 +714,18 @@ def test_exhaustion_rational(exh5):
     assert ex.psi_max[-1]["psi_plus"]["s"] > ex.radii[-1] / 2
     rd = ex.as_dict()
     assert rd["converged_all"] and len(rd["compact_deltas"]) == 4
+
+
+def test_radial_exhaustion_reports_psi_maxima_at_angle_zero():
+    # radial solutions are exactly constant on every ring, so each ring's
+    # maximum ties across angles and the first node, angle 0, reports it
+    ex = sv.exhaustion(sv.rational_curvature(0.0931), range(1, 9))
+    assert ex.converged_all and len(ex.psi_max) == 8
+    for rec in ex.psi_max:
+        assert rec["psi_plus"]["theta"] == rec["psi_minus"]["theta"] == 0.0
+    for fld in ex.fields:
+        M = fld.matrix()
+        assert (M.max(axis=1) == M.min(axis=1)).all()
 
 
 def test_exhaustion_usage_errors(H01):
