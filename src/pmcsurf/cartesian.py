@@ -21,7 +21,7 @@ from .errors import (
     UsageError,
 )
 from .fields import CartesianField, ScalarField
-from .radial import AnalyticGraph, CurvatureSample
+from .radial import AnalyticGraph
 
 
 @dataclass(frozen=True)
@@ -168,6 +168,18 @@ def saddle_hyperboloid(amp=1.2, decay=2.0, l=1.0):
 # pointwise kernels
 
 
+@dataclass
+class CurvatureSample:
+    """Pointwise curvature data of a graph, batched or at one point."""
+
+    tilt: float
+    normal: np.ndarray
+    mean: float
+    gauss: float
+    second_fundamental: np.ndarray
+    principal: np.ndarray
+
+
 def tilt_cartesian(grad_f):
     """phi = (1 - |grad f|^2)^{-1/2}, the Lorentz factor of the graph."""
     grad_f = np.asarray(grad_f, dtype=float)
@@ -226,14 +238,7 @@ def curvature_cartesian(grad_f, hess_f):
     )
     kappa = principal_curvatures_cartesian(grad_f, hess_f)
     if scalar:
-        return CurvatureSample(
-            tilt=float(phi),
-            normal=normal,
-            mean=float(mean),
-            gauss=float(gauss),
-            second_fundamental=II,
-            principal=kappa,
-        )
+        phi, mean, gauss = float(phi), float(mean), float(gauss)
     return CurvatureSample(
         tilt=phi,
         normal=normal,
@@ -242,15 +247,6 @@ def curvature_cartesian(grad_f, hess_f):
         second_fundamental=II,
         principal=kappa,
     )
-
-
-def volume_element(phi):
-    """Density of the induced area measure against Lebesgue: dv = phi^{-1} dx."""
-    phi = np.asarray(phi, dtype=float)
-    if np.any(phi < 1.0 - 1e-12):
-        raise DomainError("tilt below 1 is impossible for a spacelike graph")
-    out = 1.0 / phi
-    return float(out) if out.ndim == 0 else out
 
 
 # sampled graphs
@@ -418,22 +414,3 @@ def radial_to_cartesian(u, grid):
     out = CartesianField(grid, np.hypot(ell, r))
     out.margin = out.spacelike_margin()
     return out
-
-
-def matched_chart_points(fld):
-    """Polar chart coordinates (s, theta) and ell hit by each box node.
-
-    Inverts the height samples of a Cartesian field back to the radial
-    chart, for cross-chart comparisons at identical surface points.
-    """
-    g = fld.grid
-    if g.m != 2:
-        raise UsageError("radial charts here are two dimensional")
-    r = g.node_radii()
-    ll = fld.values**2 - r**2
-    if np.any(ll <= 0.0):
-        raise DomainError("graph must lie inside the future cone of the origin")
-    ell = np.sqrt(ll)
-    mesh = np.meshgrid(*g.axes, indexing="ij")
-    th = np.mod(np.arctan2(mesh[1], mesh[0]), 2.0 * np.pi)
-    return np.arcsinh(r / ell), th, ell

@@ -34,6 +34,12 @@ def _casts(path):
         raise UsageError("malformed field file %s: %s" % (path, exc)) from exc
 
 
+def _write_values(fh, values):
+    """The value block, one number a line, formatted by a single % operation."""
+    v = np.asarray(values, dtype=float).ravel().tolist()
+    fh.write(((_FMT + "\n") * len(v)) % tuple(v))
+
+
 def write_radial_field(fld, path):
     g = fld.grid
     with open(path, "w") as fh:
@@ -41,8 +47,7 @@ def write_radial_field(fld, path):
         fh.write("n_s %d\n" % g.n_s)
         fh.write("n_th %d\n" % g.n_theta)
         fh.write(("s_max " + _FMT + "\n") % g.s_max)
-        for v in fld.flat():
-            fh.write((_FMT + "\n") % v)
+        _write_values(fh, fld.flat())
 
 
 def _read_field(path, keys):
@@ -88,8 +93,7 @@ def write_cartesian_field(fld, path):
         for r, n in zip(g.extents, g.counts):
             fh.write(("R " + _FMT + "\n") % r)
             fh.write("n %d\n" % n)
-        for v in fld.values.ravel():
-            fh.write((_FMT + "\n") % v)
+        _write_values(fh, fld.values)
 
 
 def read_cartesian_field(path):

@@ -23,8 +23,6 @@ import sys
 from dataclasses import asdict, dataclass
 
 import numpy as np
-from scipy.sparse import coo_matrix
-from scipy.sparse.csgraph import dijkstra
 
 from .cartesian import (
     AnalyticSurface,
@@ -252,6 +250,9 @@ def geodesic_distances(fld):
     the induced length of the chart step. A chamfer approximation of the
     true geodesic distance, good enough for nested quadrature domains.
     """
+    from scipy.sparse import coo_matrix  # slow to import, so only here
+    from scipy.sparse.csgraph import dijkstra
+
     g = fld.grid
     if g.m != 2:
         raise UsageError("discrete geodesic balls are implemented for m = 2")
@@ -423,20 +424,3 @@ def lp_growth(obj, p, radii, chart_radius=None):
         volumes=vols,
         plateaued=not grew,
     )
-
-
-def holder_chain_gaps(series):
-    """Slack in the two-step estimate chaining the Gauss image to L^p.
-
-    Returns (gap1, gap2): gap1 = ||H||_m - |N^+|^{1/m} and
-    gap2 = |B|^{1/m-1/p} ||H||_p - ||H||_m, both elementwise over the
-    series radii; nonnegative values up to quadrature noise confirm the
-    chain |N^+|^{1/m} <= ||H||_m <= |B|^{1/m-1/p} ||H||_p.
-    """
-    s = series
-    if s.p < s.m:
-        raise UsageError("the interpolation step needs p >= m")
-    gap1 = s.lm_norms - s.gauss_image_measure ** (1.0 / s.m)
-    expo = 1.0 / s.m - 1.0 / s.p
-    gap2 = s.volumes**expo * s.lp_norms - s.lm_norms
-    return gap1, gap2

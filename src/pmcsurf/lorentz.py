@@ -87,16 +87,6 @@ def geodesic_polar_to_disk(s, theta):
     return np.stack([rho * np.cos(theta), rho * np.sin(theta)], axis=-1)
 
 
-def disk_to_geodesic_polar(x):
-    x = np.asarray(x, dtype=float)
-    rho = np.linalg.norm(x, axis=-1)
-    if np.any(rho >= 1.0):
-        raise DomainError("point lies outside the open unit disk")
-    s = 2.0 * np.arctanh(rho)
-    theta = np.mod(np.arctan2(x[..., 1], x[..., 0]), 2 * np.pi)
-    return s, theta
-
-
 def polar_chart_point(s, theta):
     """Hyperboloid point (cosh s, sinh s cos theta, sinh s sin theta)."""
     s = np.asarray(s, dtype=float)

@@ -4,9 +4,9 @@ A radial graph is the surface {exp(u(q)) * q} for a scalar u on the
 hyperbolic plane. Everything here works in the geodesic polar chart
 (s, theta) about a fixed vertex, where the hyperbolic metric is
 h = ds^2 + sinh(s)^2 dtheta^2. Analytic graphs carry closures for u and
-its partial derivatives; sampled fields take theirs from the polar
-difference stencils in pmcsurf.fields (polar_gradient, polar_jets) away
-from the pole and from a quadratic least-squares fit at the pole.
+its partial derivatives; the sandwich check takes the slopes of a sampled
+field from polar_gradient in pmcsurf.fields away from the pole and from a
+quadratic least-squares fit at the pole.
 
 The finite-difference residual kernels assume three continuous
 derivatives; the builtin test graphs are smooth, so the quoted O(step^2)
@@ -16,11 +16,10 @@ rates are attainable.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh
 
 from . import lorentz
 from .errors import DomainError, NotSpacelikeError
-from .fields import ScalarField, gradient_norm_sq, polar_gradient, polar_jets, pole_quadratic_fit
+from .fields import ScalarField, gradient_norm_sq, polar_gradient, pole_quadratic_fit
 
 
 @dataclass(frozen=True)
@@ -291,36 +290,6 @@ def mean_curvature_intrinsic(graph, s, theta):
     return mean_curvature_int_components(*_jets(graph, s, theta), s)
 
 
-@dataclass
-class CurvatureSample:
-    """Pointwise curvature data of a radial graph."""
-
-    tilt: float
-    normal: np.ndarray
-    mean: float
-    gauss: float
-    second_fundamental: np.ndarray
-    principal: np.ndarray
-
-
-def curvature_sample(graph, s, theta):
-    s, theta = float(s), float(theta)
-    u, u_s, u_t, _, _, _ = (float(v) for v in _jets(graph, s, theta))
-    w = tilt_components(u_s, u_t, s)
-    g, _ = graph_metric(u, u_s, u_t, s)
-    II = second_fundamental_form(graph, s, theta)
-    kappa = eigh(II, g, eigvals_only=True)
-    N = unit_normal(graph, s, theta)
-    return CurvatureSample(
-        tilt=float(w),
-        normal=N,
-        mean=float(np.mean(kappa)),
-        gauss=float(np.prod(kappa)),
-        second_fundamental=II,
-        principal=kappa,
-    )
-
-
 # identity residual kernels
 
 
@@ -413,43 +382,7 @@ def hessian_tau_residual(p, step=1e-3):
     return float(np.max(np.abs(fd - exact)))
 
 
-# sampled-field paths
-
-
-def _pole_fit(fld):
-    """Gradient, Hessian and tilt at the pole, from the quadratic fit."""
-    grad0, hess0 = pole_quadratic_fit(fld)
-    gamma0 = float(grad0 @ grad0)
-    if gamma0 >= 1.0:
-        raise NotSpacelikeError("|Du| >= 1 at the pole")
-    return grad0, hess0, 1.0 / np.sqrt(1.0 - gamma0)
-
-
-def field_tilt(fld):
-    """Tilt at every node of a sampled field, as a ScalarField."""
-    g = fld.grid
-    u_s, u_t = polar_gradient(g, fld.matrix())
-    w_rings = tilt_components(u_s[1:], u_t[1:], g.s_nodes[1:, None])
-    return ScalarField(g, _pole_fit(fld)[2], w_rings)
-
-
-def field_mean_curvature(fld, route="divergence"):
-    """Mean curvature of a sampled field at every node.
-
-    route is "divergence" or "intrinsic"; both are second-order accurate
-    away from curvature of the discretization error.
-    """
-    g = fld.grid
-    M = fld.matrix()
-    d = polar_jets(g, M)
-    s = g.s_nodes[1:, None]
-    fn = mean_curvature_div_components if route == "divergence" else mean_curvature_int_components
-    rings = fn(M[1:], d["u_s"][1:], d["u_t"][1:], d["u_ss"][1:], d["u_st"][1:], d["u_tt"][1:], s)
-    grad0, hess0, w0 = _pole_fit(fld)
-    lap0 = float(np.trace(hess0))
-    quad0 = float(grad0 @ hess0 @ grad0)
-    H0 = np.exp(-fld.pole) * ((w0 * lap0 + w0**3 * quad0) / 2.0 + w0)
-    return ScalarField(g, float(H0), rings)
+# two-hyperboloid sandwich
 
 
 @dataclass

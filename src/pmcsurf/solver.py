@@ -13,11 +13,11 @@ one linear solve, spsolve. Rotationally symmetric data keeps every iterate
 radial, and then no coefficient varies along theta: a real FFT in theta
 splits the system into one tridiagonal system per Fourier mode, solved by
 one sweep over the rings. Any other stencil is laid out on a sparse index
-layout built once per problem and factored by SuperLU; the Jacobian is
-structurally symmetric, so the LU orders the columns by minimum degree on
-A + A^T (MMD_AT_PLUS_A), which halves the fill that the default COLAMD
-leaves. Chebyshev collocation of the radial boundary value problem provides
-an independent oracle for rotationally symmetric data. One damped Newton
+layout, built once per problem on first use, and factored by SuperLU; the
+Jacobian is structurally symmetric, so the LU orders the columns by minimum
+degree on A + A^T (MMD_AT_PLUS_A), which halves the fill that the default
+COLAMD leaves. Chebyshev collocation of the radial boundary value problem
+provides an independent oracle for rotationally symmetric data. One damped Newton
 driver, _newton, solves both: it stops at tol or at the round-off floor of the
 residual and names the cause of any other stop. A residual check in the
 conformal disk chart cross-validates converged solutions against a different
@@ -28,10 +28,9 @@ import math
 import sys
 import warnings
 from dataclasses import asdict, dataclass
+from functools import cached_property
 
 import numpy as np
-from scipy.sparse import coo_matrix
-from scipy.sparse.linalg import spsolve as _scipy_spsolve
 
 from .errors import BracketError, ConvergenceError, DomainError, NotSpacelikeError, UsageError
 from .fields import (
@@ -399,22 +398,29 @@ class DiscreteProblem:
         self.area = area
         self._s_col = s[1:ns][:, None]
         self._th_row = grid.theta_nodes[None, :]
+
+    @cached_property
+    def _layout(self):
+        """(keep, rows, cols): of the Jacobian entries in the order jacobian()
+        fills them, the mask of those in an unknown's column and their sparse
+        (row, column) pairs. Built the first time SuperLU needs it; the FFT
+        path works on the stencil itself."""
+        ns, nth = self.grid.n_s, self.grid.n_theta
         # unknown index per node (-1 on the boundary ring), int32 as scipy
         # stores sparse indices
         idx = np.full((ns + 1, nth), -1, dtype=np.int32)
         idx[0] = 0
         idx[1:ns] = np.arange(1, self.n_unknowns).reshape(ns - 1, nth)
-        # the Jacobian's (row, column) pairs, in the order jacobian() fills
-        # them: the stencil entries of every interior node, then the pole
-        # row; boundary columns are dropped here, once
+        # the stencil entries of every interior node, then the pole row;
+        # boundary columns are dropped here, once
         rows = np.broadcast_to(idx[1:ns], (3, 3, ns - 1, nth))
         cols = np.array(
             [[np.roll(idx[a : a + ns - 1], 1 - b, axis=1) for b in range(3)] for a in range(3)]
         )
         rows = np.concatenate([rows.ravel(), np.zeros(nth + 1, dtype=np.int32)])
         cols = np.concatenate([cols.ravel(), idx[0, :1], idx[1]])
-        self._keep = cols >= 0
-        self._rows, self._cols = rows[self._keep], cols[self._keep]
+        keep = cols >= 0
+        return keep, rows[keep], cols[keep]
 
     def expand(self, x):
         """Full node matrix from the unknown vector (boundary row appended)."""
@@ -521,7 +527,7 @@ class StencilJacobian:
     node (i + 1 + di, j + dj); pole is the pole row's diagonal entry and
     ring1[j] its coupling to ring 1. As a matrix, ring 1's three couplings
     to the pole merge into one entry and the last ring's couplings to the
-    boundary drop out. tocsr() lays the stencil out on the problem's sparse
+    boundary drop out. tocsc() lays the stencil out on the problem's sparse
     index layout; apply() and fft_solve() work on the stencil itself.
     """
 
@@ -531,20 +537,20 @@ class StencilJacobian:
 
     @property
     def nnz(self):
-        """Stored entries of tocsr(): n_theta >= 8 keeps a row's three angles apart."""
+        """Stored entries of tocsc(): n_theta >= 8 keeps a row's three angles apart."""
         n_rings, nth = self.C.shape[2:]
         return 9 * n_rings * nth - 4 * nth + 1
 
-    def tocsr(self):
-        p, n = self._prob, self._prob.n_unknowns
-        vals = np.concatenate([self.C.ravel(), [self.pole], self.ring1])[p._keep]
-        return coo_matrix((vals, (p._rows, p._cols)), shape=(n, n)).tocsr()
-
     def tocsc(self):
-        return self.tocsr().tocsc()
+        """The stencil laid out as a CSC matrix, for SuperLU."""
+        from scipy.sparse import coo_matrix  # slow to import, so only here
 
-    def toarray(self):
-        return self.tocsr().toarray()
+        p, n = self._prob, self._prob.n_unknowns
+        keep, rows, cols = p._layout
+        vals = np.concatenate([self.C.ravel(), [self.pole], self.ring1])[keep]
+        # through CSR: the order in which it sums ring 1's merged pole entries
+        # is the one every SuperLU solve has used
+        return coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr().tocsc()
 
     def apply(self, v, absolute=False):
         """J v, or |J| v (every matrix entry in absolute value) when absolute."""
@@ -627,22 +633,22 @@ class StencilJacobian:
         return x.reshape(b.shape)
 
 
-def spsolve(A, b, permc_spec=None):
-    """The Newton step's one linear solve, A x = b.
+def spsolve(J, b):
+    """The Newton step's one linear solve, J x = b, for a StencilJacobian J.
 
-    A StencilJacobian goes to its fft_solve (rotationally symmetric data and
-    a radial iterate); one that fft_solve declines is laid out as CSC and
-    factored by SuperLU with the column ordering permc_spec. Any other
-    matrix goes to scipy's spsolve unchanged. The function keeps scipy's
-    name because the benchmark's tracer (perfbench/tracing.py) times the
-    linear solve by patching solver.spsolve.
+    fft_solve takes a theta-invariant stencil (rotationally symmetric data
+    and a radial iterate); any other is laid out by tocsc() and factored by
+    SuperLU, its columns ordered by minimum degree on A + A^T, since J is
+    structurally symmetric: that halves the fill of scipy's default COLAMD.
+    The name is scipy's because the benchmark's tracer
+    (perfbench/tracing.py) times the linear solve by patching solver.spsolve.
     """
-    if isinstance(A, StencilJacobian):
-        x = A.fft_solve(b)
-        if x is not None:
-            return x
-        A = A.tocsc()
-    return _scipy_spsolve(A, b, permc_spec=permc_spec)
+    x = J.fft_solve(b)
+    if x is not None:
+        return x
+    from scipy.sparse.linalg import spsolve as superlu  # slow to import, so only here
+
+    return superlu(J.tocsc(), b, permc_spec="MMD_AT_PLUS_A")
 
 
 # ---------------------------------------------------------------------------
@@ -794,8 +800,7 @@ def solve_dirichlet(
     def linearize(x, R):
         J = prob.jacobian(x)
         floor = np.finfo(float).eps * J.apply(np.abs(x), absolute=True)
-        # J is structurally symmetric: minimum degree on A + A^T halves COLAMD's fill
-        sol = spsolve(J, np.stack([-R, floor], axis=1), permc_spec="MMD_AT_PLUS_A")
+        sol = spsolve(J, np.stack([-R, floor], axis=1))
         return sol[:, 0], sol[:, 1]
 
     x, rn, iterations, damping_events, converged, message = _newton(

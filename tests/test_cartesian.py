@@ -9,14 +9,12 @@ from pmcsurf.cartesian import (
     curvature_cartesian,
     field_jets,
     hyperboloid,
-    matched_chart_points,
     metric_cartesian,
     principal_curvatures_cartesian,
     radial_to_cartesian,
     saddle_hyperboloid,
     surface_field,
     tilt_cartesian,
-    volume_element,
 )
 from pmcsurf.errors import (
     DomainError,
@@ -105,17 +103,15 @@ def test_gauss_closed_form_matches_metric_determinant():
 
 
 def test_volume_element():
-    assert volume_element(1.0) == 1.0
+    # the induced area density sqrt(det g) is 1 / phi, l / f on a hyperboloid
     rng = np.random.default_rng(4)
     for m in (2, 3):
         surf = hyperboloid(1.3, m)
         pts = rng.uniform(-3, 3, size=(100, m))
         phi = tilt_cartesian(surf.grad(pts))
-        assert np.abs(volume_element(phi) - 1.3 / surf.value(pts)).max() < 1e-12
+        assert np.abs(1.0 / phi - 1.3 / surf.value(pts)).max() < 1e-12
         g, _ = metric_cartesian(surf.grad(pts))
         assert np.abs(np.sqrt(np.linalg.det(g)) - 1.0 / phi).max() < 1e-12
-    with pytest.raises(DomainError):
-        volume_element(0.5)
 
 
 def test_principal_trace_and_determinant():
@@ -279,6 +275,15 @@ def test_radial_to_cartesian_out_of_domain():
         radial_to_cartesian(fld, BoxGrid.cube(3, 1.0, 8))
 
 
+def _chart_points(fld):
+    """Polar chart coordinates (s, theta) of the surface point over each box
+    node: the point at Lorentz distance ell = sqrt(f^2 - |x|^2) sits at
+    sinh s = |x| / ell."""
+    X, Y = np.meshgrid(*fld.grid.axes, indexing="ij")
+    r = np.hypot(X, Y)
+    return np.arcsinh(r / np.sqrt(fld.values**2 - r**2)), np.mod(np.arctan2(Y, X), 2 * np.pi)
+
+
 def test_cross_chart_mean_curvature_converges():
     graph = builtin_identity_graphs()["mixed_bump"]
     errs = []
@@ -289,7 +294,7 @@ def test_cross_chart_mean_curvature_converges():
         # the polar chart is singular at the origin node
         r = np.sqrt(sum(c**2 for c in np.meshgrid(*grid.axes, indexing="ij")))
         mask = mask & (r > 0.1)
-        s, th, _ = matched_chart_points(fld)
+        s, th = _chart_points(fld)
         h_radial = mean_curvature_divergence_form(graph, s[mask], th[mask])
         h_cart = curvature_cartesian(grad[mask], hess[mask]).mean
         errs.append(np.abs(h_cart - h_radial).max())
@@ -307,16 +312,9 @@ def test_cross_chart_tilt_matches_normal_component():
     r = np.sqrt(sum(c**2 for c in np.meshgrid(*grid.axes, indexing="ij")))
     mask = mask & (r > 0.1)
     phi = tilt_cartesian(grad[mask])
-    s, th, _ = matched_chart_points(fld)
+    s, th = _chart_points(fld)
     N = unit_normal(graph, s[mask], th[mask])
     assert np.abs(phi - N[..., 0]).max() < 6e-4
-
-
-def test_matched_chart_points_requires_cone():
-    grid = BoxGrid.cube(2, 5.0, 21)
-    fld = CartesianField.from_function(grid, lambda x: 0.5 * x[..., 0])
-    with pytest.raises(DomainError):
-        matched_chart_points(fld)
 
 
 def test_analytic_surface_composition():

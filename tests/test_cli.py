@@ -366,13 +366,22 @@ def _src_env():
     return env
 
 
-def test_cli_import_leaves_interpolate_and_optimize_unloaded():
-    code = ("import sys, pmcsurf.cli; print(sorted(m for m in sys.modules"
-            " if m.startswith(('scipy.interpolate', 'scipy.optimize'))))")
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env=_src_env())
+def test_cli_import_leaves_interpolate_and_optimize_unloaded(tmp_path):
+    # the import loads no scipy module at all, and a radial solve takes the
+    # FFT path, so it never loads the sparse solver either
+    code = (
+        "import sys, pmcsurf.cli\n"
+        "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))\n"
+        "rc = pmcsurf.cli.main(['solve', '--H', 'rational:0.1', '--smax', '3',"
+        " '--grid', '16x32', '--outdir', sys.argv[1]])\n"
+        "print(rc, 'scipy.sparse.linalg' in sys.modules)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code, str(tmp_path)], capture_output=True,
+                          text=True, env=_src_env())
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "[]"
+    assert lines[-1] == "0 False"
 
 
 def test_console_entry_point(tmp_path):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from pmcsurf import lorentz, radial
-from pmcsurf.errors import DomainError, NotSpacelikeError, UsageError
+from pmcsurf.errors import DomainError, NotSpacelikeError
 from pmcsurf.fields import PolarGrid, ScalarField
 
 
@@ -175,6 +175,11 @@ def test_mean_curvature_constant_hyperboloid():
         for route in (radial.mean_curvature_divergence_form, radial.mean_curvature_intrinsic):
             H = route(graph, 1.3, 2.1)
             assert float(H) == pytest.approx(1.0 / l, abs=1e-12)
+        # umbilic: the shape operator g^-1 II is 1/l times the identity
+        _, ginv = radial.graph_metric(np.log(l), 0.0, 0.0, 1.3)
+        shape = ginv @ radial.second_fundamental_form(graph, 1.3, 2.1)
+        assert np.abs(shape - np.eye(2) / l).max() < 1e-12
+        assert float(radial.tilt(graph, 1.3, 2.1)) == 1.0
 
 
 def test_mean_curvature_matches_immersion_oracle():
@@ -194,23 +199,9 @@ def test_mean_curvature_matches_immersion_oracle():
     H_fd = np.trace(ginv @ II_fd) / 2.0
     H = radial.mean_curvature_divergence_form(graph, s, th)
     assert float(H) == pytest.approx(H_fd, abs=2e-6)
-
-
-def test_curvature_sample_umbilic():
-    for l in (0.5, 2.0):
-        sample = radial.curvature_sample(radial.constant_graph(np.log(l)), 0.8, 0.2)
-        assert sample.tilt == pytest.approx(1.0, abs=1e-14)
-        assert np.allclose(sample.principal, [1 / l, 1 / l], atol=1e-12)
-        assert sample.mean == pytest.approx(1 / l, abs=1e-12)
-        assert sample.gauss == pytest.approx(1 / l**2, abs=1e-12)
-
-
-def test_curvature_sample_trace_consistency():
-    graph = radial.builtin_identity_graphs()["mixed_bump"]
-    sample = radial.curvature_sample(graph, 1.1, 0.6)
-    H_div = float(radial.mean_curvature_divergence_form(graph, 1.1, 0.6))
-    assert 2 * sample.mean == pytest.approx(np.sum(sample.principal), abs=1e-12)
-    assert sample.mean == pytest.approx(H_div, abs=1e-9)
+    # the closed-form II traces to the divergence-form H
+    II = radial.second_fundamental_form(graph, s, th)
+    assert np.trace(ginv @ II) / 2.0 == pytest.approx(float(H), abs=1e-9)
 
 
 def test_laplacian_w_residual_constant():
@@ -261,41 +252,6 @@ def test_hessian_tau_residual_domain():
         radial.hessian_tau_residual(np.array([0.1, 1.0, 0.0]))
     with pytest.raises(DomainError):
         radial.hessian_tau_residual(np.array([-1.0, 0.0, 0.0]))
-
-
-def test_field_tilt_and_mean_curvature_converge():
-    graph = radial.builtin_identity_graphs()["mixed_bump"]
-    errs_w, errs_h = [], []
-    for n_s, n_t in ((48, 96), (96, 192)):
-        grid = PolarGrid(n_s, n_t, 2.0)
-        fld = ScalarField.from_function(grid, lambda s, th: graph.value(s, th))
-        w_num = radial.field_tilt(fld).matrix()
-        S = grid.s_nodes[1:, None]
-        T = grid.theta_nodes[None, :]
-        w_exact = np.vstack([np.full((1, n_t), 1.0), radial.tilt(graph, S, T)])
-        w_exact[0] = radial.tilt_components(*graph.grad(1e-12, 0.0), 1e-12)
-        errs_w.append(np.max(np.abs(w_num - w_exact)))
-        H_num = radial.field_mean_curvature(fld).matrix()
-        H_exact = np.vstack(
-            [
-                np.full((1, n_t), float(radial.mean_curvature_divergence_form(graph, 1e-9, 0.0))),
-                radial.mean_curvature_divergence_form(graph, S, T),
-            ]
-        )
-        errs_h.append(np.max(np.abs(H_num - H_exact)))
-        H_int = radial.field_mean_curvature(fld, route="intrinsic").matrix()
-        assert np.max(np.abs(H_int - H_num)) < 1e-9
-    assert errs_w[1] < errs_w[0] / 3.0
-    assert errs_h[1] < errs_h[0] / 3.0
-    assert errs_h[1] < 5e-3
-
-
-def test_field_mean_curvature_needs_three_rings():
-    # with n_s = 2 the one-sided boundary u_ss would wrap round to the boundary ring
-    grid = PolarGrid(2, 8, 1.0)
-    fld = ScalarField.from_function(grid, lambda s, th: 0.1 * s**2 + 0.0 * th)
-    with pytest.raises(UsageError):
-        radial.field_mean_curvature(fld)
 
 
 def test_alc_sandwich_check_analytic():

