@@ -92,10 +92,6 @@ def test_polar_jets_exact_on_the_boundary_ring():
     assert np.allclose(jets["u_s"][1:], 0.2 * g.s_nodes[1:, None], rtol=0, atol=1e-14)
     assert np.allclose(jets["u_ss"][1:], 0.2, rtol=0, atol=1e-13)
     assert np.all(np.isnan(jets["u_ss"][0]))
-    # with n_s = 2 that u_ss would wrap round to the boundary ring
-    g = PolarGrid(2, 8, 1.0)
-    with pytest.raises(UsageError):
-        polar_jets(g, ScalarField.from_function(g, lambda s, th: 0.1 * s**2 + 0.0 * th).matrix())
 
 
 def test_radial_field_file_round_trip(tmp_path):

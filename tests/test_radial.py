@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from pmcsurf import lorentz, radial
-from pmcsurf.errors import DomainError, NotSpacelikeError
-from pmcsurf.fields import PolarGrid, ScalarField
+from pmcsurf.errors import DomainError, NotSpacelikeError, UsageError
+from pmcsurf.fields import PolarGrid, ScalarField, polar_jets
 
 
 def random_jets(n, seed, smin=0.3, smax=2.5):
@@ -175,11 +175,6 @@ def test_mean_curvature_constant_hyperboloid():
         for route in (radial.mean_curvature_divergence_form, radial.mean_curvature_intrinsic):
             H = route(graph, 1.3, 2.1)
             assert float(H) == pytest.approx(1.0 / l, abs=1e-12)
-        # umbilic: the shape operator g^-1 II is 1/l times the identity
-        _, ginv = radial.graph_metric(np.log(l), 0.0, 0.0, 1.3)
-        shape = ginv @ radial.second_fundamental_form(graph, 1.3, 2.1)
-        assert np.abs(shape - np.eye(2) / l).max() < 1e-12
-        assert float(radial.tilt(graph, 1.3, 2.1)) == 1.0
 
 
 def test_mean_curvature_matches_immersion_oracle():
@@ -199,9 +194,37 @@ def test_mean_curvature_matches_immersion_oracle():
     H_fd = np.trace(ginv @ II_fd) / 2.0
     H = radial.mean_curvature_divergence_form(graph, s, th)
     assert float(H) == pytest.approx(H_fd, abs=2e-6)
+
+
+def shape_operator(graph, s, th):
+    """Shape operator g^-1 II of the graph at one chart point."""
+    u = float(graph.value(s, th))
+    us, ut = (float(v) for v in graph.grad(s, th))
+    _, ginv = radial.graph_metric(u, us, ut, s)
+    return ginv @ radial.second_fundamental_form(graph, s, th)
+
+
+def test_curvature_sample_umbilic():
+    # the hyperboloid of radius l is umbilic: g^-1 II = identity / l, tilt 1
+    for l in (0.5, 2.0):
+        graph = radial.constant_graph(np.log(l))
+        shape = shape_operator(graph, 0.8, 0.2)
+        assert float(radial.tilt(graph, 0.8, 0.2)) == pytest.approx(1.0, abs=1e-14)
+        assert np.abs(shape - np.eye(2) / l).max() < 1e-12
+        assert np.allclose(np.sort(np.linalg.eigvals(shape).real), [1 / l, 1 / l], atol=1e-12)
+        assert np.trace(shape) / 2 == pytest.approx(1 / l, abs=1e-12)
+        assert np.linalg.det(shape) == pytest.approx(1 / l**2, abs=1e-12)
+
+
+def test_curvature_sample_trace_consistency():
     # the closed-form II traces to the divergence-form H
-    II = radial.second_fundamental_form(graph, s, th)
-    assert np.trace(ginv @ II) / 2.0 == pytest.approx(float(H), abs=1e-9)
+    graph = radial.builtin_identity_graphs()["mixed_bump"]
+    shape = shape_operator(graph, 1.1, 0.6)
+    principal = np.linalg.eigvals(shape)
+    H_div = float(radial.mean_curvature_divergence_form(graph, 1.1, 0.6))
+    assert np.abs(principal.imag).max() < 1e-12
+    assert np.trace(shape) / 2 == pytest.approx(np.sum(principal.real) / 2, abs=1e-12)
+    assert np.trace(shape) / 2 == pytest.approx(H_div, abs=1e-9)
 
 
 def test_laplacian_w_residual_constant():
@@ -252,6 +275,14 @@ def test_hessian_tau_residual_domain():
         radial.hessian_tau_residual(np.array([0.1, 1.0, 0.0]))
     with pytest.raises(DomainError):
         radial.hessian_tau_residual(np.array([-1.0, 0.0, 0.0]))
+
+
+def test_field_mean_curvature_needs_three_rings():
+    # with n_s = 2 the one-sided boundary u_ss would wrap round to the boundary ring
+    grid = PolarGrid(2, 8, 1.0)
+    fld = ScalarField.from_function(grid, lambda s, th: 0.1 * s**2 + 0.0 * th)
+    with pytest.raises(UsageError):
+        polar_jets(grid, fld.matrix())
 
 
 def test_alc_sandwich_check_analytic():
