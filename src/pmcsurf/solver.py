@@ -398,6 +398,7 @@ class DiscreteProblem:
         self.area = area
         self._s_col = s[1:ns][:, None]
         self._th_row = grid.theta_nodes[None, :]
+        self._superlu_only = False  # set by spsolve once a GMRES step falls back
 
     @cached_property
     def _layout(self):
@@ -580,21 +581,29 @@ class StencilJacobian:
 
     def fft_solve(self, b):
         """J x = b, b of shape (n,) or (n, k), for a theta-invariant stencil;
-        None for any other stencil.
-
-        A real FFT along theta splits J into one tridiagonal system in the
-        ring index per Fourier mode, from the theta-means of the coefficients
-        (Swarztrauber & Sweet, SIAM J. Numer. Anal. 10 (1973); Lai & Wang,
-        Numer. Methods PDE 18 (2002)). The pole row borders mode 0 and sees
-        ring 1 only through its sum; the unknown it adds is n_theta times the
-        pole value, which keeps both rows diagonally dominant. One elimination
-        sweep over the rings solves every mode and right-hand side at once,
-        without pivoting, so it also returns None unless every mode system is
-        diagonally dominant, where that is stable (Higham, Accuracy and
-        Stability of Numerical Algorithms, SIAM 2002, ch. 9).
-        """
+        None for any other stencil, or where mean_solver() declines."""
         if not self.theta_invariant():
             return None
+        solve = self.mean_solver()
+        return None if solve is None else solve(b)
+
+    def mean_solver(self):
+        """The exact solve of the theta-mean stencil, as a function of b (shape
+        (n,) or (n, k)); None unless every mode system is diagonally dominant.
+        For a theta-invariant stencil it solves J itself; for any other it is
+        spsolve's GMRES preconditioner.
+
+        A real FFT along theta splits the system into one tridiagonal system in
+        the ring index per Fourier mode, from the theta-means of the
+        coefficients (Swarztrauber & Sweet, SIAM J. Numer. Anal. 10 (1973); Lai
+        & Wang, Numer. Methods PDE 18 (2002)). The pole row borders mode 0 and
+        sees ring 1 only through its sum; the unknown it adds is n_theta times
+        the pole value, which keeps both rows diagonally dominant. The mode
+        systems are eliminated here, once, without pivoting, which is stable
+        where they are diagonally dominant (Higham, Accuracy and Stability of
+        Numerical Algorithms, SIAM 2002, ch. 9); each call then costs an rfft,
+        two sweeps over the rings for every mode and column at once, and an irfft.
+        """
         nth = self.C.shape[3]
         cbar, r1bar = self.C.mean(axis=3), self.ring1.mean()
         # angle j + d carries mode k of angle j times exp(2 pi i d k / n_theta)
@@ -612,40 +621,114 @@ class StencilJacobian:
         row = np.concatenate([[abs(self.pole) / nth + abs(r1bar)], np.abs(cbar).sum(axis=(0, 1))])
         if not (np.abs(lo) + np.abs(up) <= np.abs(di) + _SPREAD_TOL * row[:, None]).all():
             return None
-        B = b.reshape(b.shape[0], -1)
-        y = np.zeros((di.shape[0], k.size, B.shape[1]), dtype=complex)
-        y[0, 0] = B[0]
-        # with angle 0 split off, a ring constant in b has exactly zero higher
-        # modes, which the radix-5 and -7 FFT passes would leave at rounding level
-        rings = B[1:].reshape(-1, nth, B.shape[1])
-        y[1:] = np.fft.rfft(rings - rings[:, :1], axis=1)
-        y[1:, 0] += nth * rings[:, 0]
         for i in range(1, di.shape[0]):
-            w = lo[i] / di[i - 1]
-            di[i] -= w * up[i - 1]
-            y[i] -= w[:, None] * y[i - 1]
-        y[-1] /= di[-1][:, None]
-        for i in range(di.shape[0] - 2, -1, -1):
-            y[i] = (y[i] - up[i][:, None] * y[i + 1]) / di[i][:, None]
-        x = np.empty(B.shape)
-        x[0] = y[0, 0].real / nth
-        x[1:] = np.fft.irfft(y[1:], n=nth, axis=1).reshape(-1, B.shape[1])
-        return x.reshape(b.shape)
+            lo[i] /= di[i - 1]  # the multiplier
+            di[i] -= lo[i] * up[i - 1]
+
+        def solve(b):
+            B = b.reshape(b.shape[0], -1)
+            y = np.zeros((di.shape[0], k.size, B.shape[1]), dtype=complex)
+            y[0, 0] = B[0]
+            # with angle 0 split off, a ring constant in b has exactly zero higher
+            # modes, which the radix-5 and -7 FFT passes would leave at rounding level
+            rings = B[1:].reshape(-1, nth, B.shape[1])
+            y[1:] = np.fft.rfft(rings - rings[:, :1], axis=1)
+            y[1:, 0] += nth * rings[:, 0]
+            for i in range(1, di.shape[0]):
+                y[i] -= lo[i][:, None] * y[i - 1]
+            y[-1] /= di[-1][:, None]
+            for i in range(di.shape[0] - 2, -1, -1):
+                y[i] = (y[i] - up[i][:, None] * y[i + 1]) / di[i][:, None]
+            x = np.empty(B.shape)
+            x[0] = y[0, 0].real / nth
+            x[1:] = np.fft.irfft(y[1:], n=nth, axis=1).reshape(-1, B.shape[1])
+            return x.reshape(b.shape)
+
+        return solve
+
+
+# GMRES stops at this 2-norm residual relative to the right-hand side's, and
+# gives the step to SuperLU after this many iterations
+_KRYLOV_RTOL = 1e-6
+_KRYLOV_MAX = 30
+
+
+def _gmres(apply, precond, b):
+    """x with |b - A x|_2 <= _KRYLOV_RTOL |b|_2 from x0 = 0, by GMRES on A M^-1,
+    A = apply and M^-1 = precond, with modified Gram-Schmidt and Givens rotations
+    (Saad & Schultz, SIAM J. Sci. Stat. Comput. 7 (1986)). One cycle, no restart:
+    None after _KRYLOV_MAX iterations, or at a value that is not finite. A zero
+    subdiagonal (a lucky breakdown) zeroes the residual estimate, so it returns
+    the exact solution from the invariant subspace."""
+    beta = float(np.linalg.norm(b))
+    if not math.isfinite(beta):
+        return None
+    if beta == 0.0:
+        return np.zeros_like(b)
+    V = np.empty((_KRYLOV_MAX + 1, b.size))
+    Hs = np.zeros((_KRYLOV_MAX + 1, _KRYLOV_MAX))
+    cs, sn = np.zeros(_KRYLOV_MAX), np.zeros(_KRYLOV_MAX)
+    g = np.zeros(_KRYLOV_MAX + 1)
+    V[0], g[0] = b / beta, beta
+    for k in range(_KRYLOV_MAX):
+        w = apply(precond(V[k]))
+        if not np.isfinite(w).all():
+            return None
+        for i in range(k + 1):
+            Hs[i, k] = V[i] @ w
+            w -= Hs[i, k] * V[i]
+        h = float(np.linalg.norm(w))
+        if not (math.isfinite(h) and np.isfinite(Hs[: k + 1, k]).all()):
+            return None
+        for i in range(k):
+            Hs[i, k], Hs[i + 1, k] = (cs[i] * Hs[i, k] + sn[i] * Hs[i + 1, k],
+                                      cs[i] * Hs[i + 1, k] - sn[i] * Hs[i, k])
+        r = math.hypot(Hs[k, k], h)
+        if r == 0.0:
+            return None
+        cs[k], sn[k] = Hs[k, k] / r, h / r
+        Hs[k, k] = r
+        g[k + 1], g[k] = -sn[k] * g[k], cs[k] * g[k]
+        if abs(g[k + 1]) <= _KRYLOV_RTOL * beta:
+            y = np.linalg.solve(Hs[: k + 1, : k + 1], g[: k + 1])  # upper triangular
+            x = precond(y @ V[: k + 1])
+            return x if np.isfinite(x).all() else None
+        V[k + 1] = w / h
+    return None
 
 
 def spsolve(J, b):
-    """The Newton step's one linear solve, J x = b, for a StencilJacobian J.
+    """The Newton step's one linear solve, J x = b, for a StencilJacobian J;
+    b is (n,) or (n, k), and on the GMRES path its columns after the first are
+    rounding floors, which take the preconditioner alone.
 
-    fft_solve takes a theta-invariant stencil (rotationally symmetric data
-    and a radial iterate); any other is laid out by tocsc() and factored by
-    SuperLU, its columns ordered by minimum degree on A + A^T, since J is
-    structurally symmetric: that halves the fill of scipy's default COLAMD.
+    Three paths:
+    - a theta-invariant stencil (rotationally symmetric data and a radial
+      iterate) is solved exactly by mean_solver(), the FFT mode sweep;
+    - any other stencil's first column goes to _gmres, preconditioned by the
+      same sweep on the theta-means of its coefficients (a Newton-Krylov step,
+      Knoll & Keyes, J. Comput. Phys. 193 (2004)); the rounding floor z is
+      the preconditioner applied to the floor vector;
+    - SuperLU, when the mean stencil is not diagonally dominant or GMRES does
+      not reach _KRYLOV_RTOL within _KRYLOV_MAX iterations: tocsc() lays the
+      stencil out, its columns ordered by minimum degree on A + A^T, since J is
+      structurally symmetric, which halves the fill of scipy's default COLAMD.
+      Once a non-invariant step of a problem falls back, every later one of
+      that problem goes straight to SuperLU.
     The name is scipy's because the benchmark's tracer
     (perfbench/tracing.py) times the linear solve by patching solver.spsolve.
     """
-    x = J.fft_solve(b)
-    if x is not None:
-        return x
+    prob, invariant = J._prob, J.theta_invariant()
+    mean = J.mean_solver() if invariant or not prob._superlu_only else None
+    if mean is not None and invariant:
+        return mean(b)
+    if mean is not None:
+        B = b.reshape(b.shape[0], -1)
+        x = _gmres(J.apply, mean, B[:, 0])
+        if x is not None:
+            return np.column_stack([x, mean(B[:, 1:])]).reshape(b.shape)
+    if not invariant:
+        prob._superlu_only = True
     from scipy.sparse.linalg import spsolve as superlu  # slow to import, so only here
 
     return superlu(J.tocsc(), b, permc_spec="MMD_AT_PLUS_A")

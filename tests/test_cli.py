@@ -384,6 +384,23 @@ def test_cli_import_leaves_interpolate_and_optimize_unloaded(tmp_path):
     assert lines[-1] == "0 False"
 
 
+def test_fourier_library_solve_stays_numpy_only():
+    # non-radial Newton steps take the GMRES path, which loads no scipy.sparse
+    # module; a fresh interpreter sees what the solve itself imports
+    code = (
+        "import sys, numpy as np\n"
+        "from pmcsurf import solver as sv\n"
+        "fld, rep = sv.solve_dirichlet(sv.rational_curvature(0.1), 3.0, n_s=16, n_theta=32,\n"
+        "    boundary=lambda th: 0.3 * np.cos(3 * th) + 0.1 * np.sin(th))\n"
+        "print(rep.converged, rep.iterations > 0)\n"
+        "print(sorted(m for m in sys.modules if m.startswith('scipy.sparse')))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=_src_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["True True", "[]"]
+
+
 def test_console_entry_point(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-m", "pmcsurf.cli", "check-h", "--H", "const:1",

@@ -477,16 +477,45 @@ def _tilted_curvature():
     )
 
 
+def _record(monkeypatch, name):
+    """Wrap solver.<name> to record (arguments, result) of every call."""
+    calls, inner = [], getattr(sv, name)
+
+    def recording(*args):
+        out = inner(*args)
+        calls.append((args, out))
+        return out
+
+    monkeypatch.setattr(sv, name, recording)
+    return calls
+
+
+def _assert_within_the_inner_tolerance(J, b, x):
+    # the step: the GMRES residual bound, and SuperLU's step to ten times it;
+    # the rounding floor z (the preconditioner alone) within 10% of SuperLU's
+    A = J.tocsc()
+    lu = spsolve(A, b, permc_spec="MMD_AT_PLUS_A")
+    rtol = sv._KRYLOV_RTOL
+    assert np.linalg.norm(A @ x[:, 0] - b[:, 0]) <= rtol * np.linalg.norm(b[:, 0])
+    assert np.abs(x[:, 0] - lu[:, 0]).max() <= 10 * rtol * np.abs(lu[:, 0]).max()
+    z, z_lu = np.abs(x[:, 1]).max(), np.abs(lu[:, 1]).max()
+    assert 0.9 * z_lu <= z <= 1.1 * z_lu
+
+
 @pytest.mark.parametrize("case", ["fourier boundary", "tilted curvature"])
-def test_non_radial_newton_systems_go_to_superlu(monkeypatch, case):
+def test_non_radial_newton_systems_take_gmres(monkeypatch, case):
     calls = _count_superlu(monkeypatch)
+    steps = _record(monkeypatch, "spsolve")
     if case == "fourier boundary":
         H, boundary = sv.rational_curvature(0.1), _fourier_boundary
     else:
         H, boundary = _tilted_curvature(), 0.0  # radial data, a curvature that is not
     fld, rep = sv.solve_dirichlet(H, 3.0, n_s=16, n_theta=32, boundary=boundary, precheck=False)
     assert rep.converged and rep.iterations > 0
-    assert calls == ["MMD_AT_PLUS_A"] * rep.iterations
+    assert calls == [] and len(steps) == rep.iterations
+    for (J, b), x in steps:
+        assert not J.theta_invariant()
+        _assert_within_the_inner_tolerance(J, b, x)
 
 
 @pytest.mark.parametrize("share, fft", [(0.99, True), (1.01, False)])
@@ -499,10 +528,14 @@ def test_spread_bound_decides_the_path(monkeypatch, share, fft):
     J.C[1, 0, 5, 7] += share * sv._SPREAD_TOL * scale
     assert J.theta_invariant() == fft
     calls = _count_superlu(monkeypatch)
+    krylov = _record(monkeypatch, "_gmres")
     step = sv.spsolve(J, rhs)
-    assert calls == ([] if fft else ["MMD_AT_PLUS_A"])
-    lu = spsolve(J.tocsc(), rhs, permc_spec="MMD_AT_PLUS_A")
-    assert (np.abs(step - lu).max(axis=0) <= 1e-11 * np.abs(lu).max(axis=0)).all()
+    assert calls == [] and len(krylov) == (0 if fft else 1)
+    if fft:
+        lu = spsolve(J.tocsc(), rhs, permc_spec="MMD_AT_PLUS_A")
+        assert (np.abs(step - lu).max(axis=0) <= 1e-11 * np.abs(lu).max(axis=0)).all()
+    else:
+        _assert_within_the_inner_tolerance(J, rhs, step)
 
 
 def test_fft_solve_declines_mode_systems_without_diagonal_dominance(monkeypatch):
@@ -516,6 +549,80 @@ def test_fft_solve_declines_mode_systems_without_diagonal_dominance(monkeypatch)
     step = sv.spsolve(J, rhs)
     assert calls == ["MMD_AT_PLUS_A"]
     assert np.abs(J.tocsc() @ step[:, 0] - rhs[:, 0]).max() < 1e-8 * np.abs(rhs[:, 0]).max()
+
+
+def _fourier_system(n_s=16, n_theta=32):
+    prob = sv.DiscreteProblem(PolarGrid(n_s, n_theta, 3.0), sv.rational_curvature(0.1),
+                              _fourier_boundary)
+    return (prob, *_newton_system(prob, sv._initial_state(prob, None)))
+
+
+def test_non_dominant_mean_stencil_goes_to_superlu_for_the_rest_of_the_problem(monkeypatch):
+    # ten times the radial couplings: the theta-mean mode systems are not
+    # diagonally dominant, so there is no preconditioner to run GMRES with
+    prob, J, R, rhs = _fourier_system()
+    J.C[[0, 2], 1] *= 10.0
+    assert not J.theta_invariant() and J.mean_solver() is None
+    calls = _count_superlu(monkeypatch)
+    krylov = _record(monkeypatch, "_gmres")
+    step = sv.spsolve(J, rhs)
+    assert calls == ["MMD_AT_PLUS_A"] and krylov == []
+    assert np.abs(J.tocsc() @ step[:, 0] - rhs[:, 0]).max() < 1e-8 * np.abs(rhs[:, 0]).max()
+    # a dominant stencil of the same problem now goes straight to SuperLU too
+    J2 = prob.jacobian(sv._initial_state(prob, None))
+    assert J2.mean_solver() is not None
+    sv.spsolve(J2, rhs)
+    assert calls == ["MMD_AT_PLUS_A"] * 2 and krylov == []
+
+
+def test_steep_data_passes_the_krylov_cap_and_then_stays_on_superlu(monkeypatch):
+    # a cos 3 theta with a = 1.5 at 32x64 (max_w about 4.2): GMRES needs more
+    # iterations from step to step until one passes the cap; that step and
+    # every later one go to SuperLU, and the solve keeps its 9 steps and its stop
+    calls = _count_superlu(monkeypatch)
+    krylov = _record(monkeypatch, "_gmres")
+    fld, rep = sv.solve_dirichlet(sv.rational_curvature(0.1), 3.0, n_s=32, n_theta=64,
+                                  boundary=lambda th: 1.5 * np.cos(3 * th), precheck=False)
+    assert (rep.converged, rep.iterations, rep.message) == (True, 9, "")
+    results = [x is not None for _, x in krylov]
+    assert results == [True] * (len(results) - 1) + [False] and len(results) >= 2
+    assert calls == ["MMD_AT_PLUS_A"] * (rep.iterations - len(results) + 1)
+
+
+def test_gmres_lucky_breakdown_returns_the_exact_solution():
+    # b is an eigenvector: the first Arnoldi vector spans an invariant
+    # subspace, the subdiagonal is exactly zero and one iteration is exact
+    d = np.array([3.0, 5.0, 7.0, 11.0])
+    b = np.array([2.0, 0.0, 0.0, 0.0])
+    applied = []
+
+    def apply(v):
+        applied.append(v)
+        return d * v
+
+    x = sv._gmres(apply, lambda v: v, b)
+    assert len(applied) == 1
+    assert np.array_equal(x, b / d)
+    assert np.array_equal(sv._gmres(apply, lambda v: v, np.zeros(4)), np.zeros(4))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_gmres_with_a_non_finite_arnoldi_value_falls_back_to_superlu(monkeypatch, bad):
+    assert sv._gmres(lambda v: v * bad, lambda v: v, np.ones(4)) is None
+    # the third action of J is not finite: the step is SuperLU's, not NaN
+    prob, J, R, rhs = _fourier_system()
+    count, apply = [], J.apply
+
+    def poisoned(v, absolute=False):
+        count.append(1)
+        out = apply(v, absolute)
+        return out * bad if len(count) == 3 else out
+
+    J.apply = poisoned
+    calls = _count_superlu(monkeypatch)
+    step = sv.spsolve(J, rhs)
+    assert calls == ["MMD_AT_PLUS_A"] and len(count) == 3
+    assert np.array_equal(step, spsolve(J.tocsc(), rhs, permc_spec="MMD_AT_PLUS_A"))
 
 
 def test_dilation_data_on_the_dominance_margin_takes_the_fft_path(monkeypatch):
