@@ -9,10 +9,13 @@ with Dirichlet data on the boundary circle. The scheme is a finite volume
 balance with tilt factors evaluated on cell faces, with an analytic Jacobian
 kept as its stencil (StencilJacobian): a 9-point coefficient array on the
 interior nodes plus the pole row, filled once per Newton step. Each step makes
-one linear solve, spsolve. Rotationally symmetric data keeps every iterate
-radial, and then no coefficient varies along theta: a real FFT in theta
-splits the system into one tridiagonal system per Fourier mode, solved by
-one sweep over the rings. Any other stencil is laid out on a sparse index
+one linear solve, spsolve, on one of three paths. Rotationally symmetric data
+keeps every iterate radial, and then no coefficient varies along theta: a real
+FFT in theta splits the system into one tridiagonal system per Fourier mode,
+solved exactly by one sweep over the rings. Any other stencil is solved by a
+short GMRES in numpy, preconditioned by that same sweep on the theta-means of
+its coefficients. Where the mean stencil is not diagonally dominant or GMRES
+does not converge within its cap, the stencil is laid out on a sparse index
 layout, built once per problem on first use, and factored by SuperLU; the
 Jacobian is structurally symmetric, so the LU orders the columns by minimum
 degree on A + A^T (MMD_AT_PLUS_A), which halves the fill that the default
@@ -529,7 +532,7 @@ class StencilJacobian:
     ring1[j] its coupling to ring 1. As a matrix, ring 1's three couplings
     to the pole merge into one entry and the last ring's couplings to the
     boundary drop out. tocsc() lays the stencil out on the problem's sparse
-    index layout; apply() and fft_solve() work on the stencil itself.
+    index layout; apply() and mean_solver() work on the stencil itself.
     """
 
     def __init__(self, prob, C, pole, ring1):
@@ -578,14 +581,6 @@ class StencilJacobian:
             return False
         spread = np.ptp(C, axis=3).max(axis=(0, 1))
         return bool((spread <= _SPREAD_TOL * np.abs(C).max(axis=(0, 1, 3))).all())
-
-    def fft_solve(self, b):
-        """J x = b, b of shape (n,) or (n, k), for a theta-invariant stencil;
-        None for any other stencil, or where mean_solver() declines."""
-        if not self.theta_invariant():
-            return None
-        solve = self.mean_solver()
-        return None if solve is None else solve(b)
 
     def mean_solver(self):
         """The exact solve of the theta-mean stencil, as a function of b (shape

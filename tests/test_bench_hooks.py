@@ -52,7 +52,7 @@ def test_tracer_hooks_cover_the_verifiers(monkeypatch):
 
 
 def test_tracer_sees_one_linear_solve_per_step_on_fourier_data(monkeypatch):
-    # non-radial iterates take the SuperLU path, inside the same traced name
+    # non-radial iterates take the GMRES path, inside the same traced name
     monkeypatch.syspath_prepend(str(PERFBENCH))
     import tracing
 
