@@ -626,7 +626,7 @@ class StencilJacobian:
             y[0, 0] = B[0]
             # with angle 0 split off, a ring constant in b has exactly zero higher
             # modes, which the radix-5 and -7 FFT passes would leave at rounding level
-            rings = B[1:].reshape(-1, nth, B.shape[1])
+            rings = B[1:].reshape(di.shape[0] - 1, nth, -1)
             y[1:] = np.fft.rfft(rings - rings[:, :1], axis=1)
             y[1:, 0] += nth * rings[:, 0]
             for i in range(1, di.shape[0]):
@@ -636,7 +636,7 @@ class StencilJacobian:
                 y[i] = (y[i] - up[i][:, None] * y[i + 1]) / di[i][:, None]
             x = np.empty(B.shape)
             x[0] = y[0, 0].real / nth
-            x[1:] = np.fft.irfft(y[1:], n=nth, axis=1).reshape(-1, B.shape[1])
+            x[1:] = np.fft.irfft(y[1:], n=nth, axis=1).reshape(x[1:].shape)
             return x.reshape(b.shape)
 
         return solve
@@ -654,8 +654,10 @@ def _gmres(apply, precond, b):
     (Saad & Schultz, SIAM J. Sci. Stat. Comput. 7 (1986)). One cycle, no restart:
     None after _KRYLOV_MAX iterations, or at a value that is not finite. A zero
     subdiagonal (a lucky breakdown) zeroes the residual estimate, so it returns
-    the exact solution from the invariant subspace."""
-    beta = float(np.linalg.norm(b))
+    the exact solution from the invariant subspace. Inner products go through
+    einsum, not BLAS: a threaded BLAS dot on vectors this long runs many times
+    slower whenever another process holds a core."""
+    beta = math.sqrt(np.einsum("i,i->", b, b))
     if not math.isfinite(beta):
         return None
     if beta == 0.0:
@@ -670,9 +672,9 @@ def _gmres(apply, precond, b):
         if not np.isfinite(w).all():
             return None
         for i in range(k + 1):
-            Hs[i, k] = V[i] @ w
+            Hs[i, k] = np.einsum("i,i->", V[i], w)
             w -= Hs[i, k] * V[i]
-        h = float(np.linalg.norm(w))
+        h = math.sqrt(np.einsum("i,i->", w, w))
         if not (math.isfinite(h) and np.isfinite(Hs[: k + 1, k]).all()):
             return None
         for i in range(k):
@@ -686,7 +688,7 @@ def _gmres(apply, precond, b):
         g[k + 1], g[k] = -sn[k] * g[k], cs[k] * g[k]
         if abs(g[k + 1]) <= _KRYLOV_RTOL * beta:
             y = np.linalg.solve(Hs[: k + 1, : k + 1], g[: k + 1])  # upper triangular
-            x = precond(y @ V[: k + 1])
+            x = precond(np.einsum("i,ij->j", y, V[: k + 1]))
             return x if np.isfinite(x).all() else None
         V[k + 1] = w / h
     return None

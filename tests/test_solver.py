@@ -537,6 +537,8 @@ def test_spread_bound_decides_the_path(monkeypatch, share, fft):
         assert (np.abs(step - lu).max(axis=0) <= 1e-11 * np.abs(lu).max(axis=0)).all()
     else:
         _assert_within_the_inner_tolerance(J, rhs, step)
+    # one right-hand side takes the same path to the same step
+    assert np.array_equal(sv.spsolve(J, rhs[:, 0]), step[:, 0])
 
 
 def test_fft_solve_declines_mode_systems_without_diagonal_dominance(monkeypatch):
