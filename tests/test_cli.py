@@ -367,38 +367,26 @@ def _src_env():
 
 
 def test_cli_import_leaves_interpolate_and_optimize_unloaded(tmp_path):
-    # the import loads no scipy module at all, and a radial solve takes the
-    # FFT path, so it never loads the sparse solver either
+    # the import loads no scipy module at all; a radial solve takes the FFT
+    # path and a Fourier library solve the GMRES path, so neither loads
+    # scipy.sparse, where the SuperLU fallback lives
     code = (
-        "import sys, pmcsurf.cli\n"
+        "import sys, numpy as np, pmcsurf.cli\n"
+        "from pmcsurf import solver as sv\n"
         "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))\n"
         "rc = pmcsurf.cli.main(['solve', '--H', 'rational:0.1', '--smax', '3',"
         " '--grid', '16x32', '--outdir', sys.argv[1]])\n"
-        "print(rc, 'scipy.sparse.linalg' in sys.modules)\n"
+        "fld, rep = sv.solve_dirichlet(sv.rational_curvature(0.1), 3.0, n_s=16, n_theta=32,"
+        " boundary=lambda th: 0.3 * np.cos(3 * th) + 0.1 * np.sin(th))\n"
+        "print(rc, rep.converged and rep.iterations > 0,"
+        " sorted(m for m in sys.modules if m.startswith('scipy.sparse')))\n"
     )
     proc = subprocess.run([sys.executable, "-c", code, str(tmp_path)], capture_output=True,
                           text=True, env=_src_env())
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
     assert lines[0] == "[]"
-    assert lines[-1] == "0 False"
-
-
-def test_fourier_library_solve_stays_numpy_only():
-    # non-radial Newton steps take the GMRES path, which loads no scipy.sparse
-    # module; a fresh interpreter sees what the solve itself imports
-    code = (
-        "import sys, numpy as np\n"
-        "from pmcsurf import solver as sv\n"
-        "fld, rep = sv.solve_dirichlet(sv.rational_curvature(0.1), 3.0, n_s=16, n_theta=32,\n"
-        "    boundary=lambda th: 0.3 * np.cos(3 * th) + 0.1 * np.sin(th))\n"
-        "print(rep.converged, rep.iterations > 0)\n"
-        "print(sorted(m for m in sys.modules if m.startswith('scipy.sparse')))\n"
-    )
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env=_src_env())
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines() == ["True True", "[]"]
+    assert lines[-1] == "0 True []"
 
 
 def test_console_entry_point(tmp_path):
