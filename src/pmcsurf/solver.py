@@ -669,13 +669,13 @@ def _gmres(apply, precond, b):
     V[0], g[0] = b / beta, beta
     for k in range(_KRYLOV_MAX):
         w = apply(precond(V[k]))
-        if not np.isfinite(w).all():
+        if not np.isfinite(w).all():  # before inf - inf can turn up below
             return None
         for i in range(k + 1):
             Hs[i, k] = np.einsum("i,i->", V[i], w)
             w -= Hs[i, k] * V[i]
-        h = math.sqrt(np.einsum("i,i->", w, w))
-        if not (math.isfinite(h) and np.isfinite(Hs[: k + 1, k]).all()):
+        h = math.sqrt(np.einsum("i,i->", w, w))  # an overflow in any Hs[i, k] reaches h
+        if not math.isfinite(h):
             return None
         for i in range(k):
             Hs[i, k], Hs[i + 1, k] = (cs[i] * Hs[i, k] + sn[i] * Hs[i + 1, k],
