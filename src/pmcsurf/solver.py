@@ -717,9 +717,9 @@ def spsolve(J, b):
     """
     prob, invariant = J._prob, J.theta_invariant()
     mean = J.mean_solver() if invariant or not prob._superlu_only else None
-    if mean is not None and invariant:
-        return mean(b)
     if mean is not None:
+        if invariant:
+            return mean(b)
         B = b.reshape(b.shape[0], -1)
         x = _gmres(J.apply, mean, B[:, 0])
         if x is not None:
